@@ -20,9 +20,9 @@ import (
 //
 // Run executes per package and may record cross-package facts on
 // pass.Facts; the optional Merge phase then runs once over every target's
-// facts — in package-path order, with no type information — which is what
-// lets merge-only conclusions (duplicate metric families, stream-purpose
-// collisions) be recomputed from the cache without reloading the module.
+// facts — in package-path order, with no type information — for the
+// conclusions no single package can reach (duplicate metric families,
+// stream-purpose collisions, protocol duality, lock-order cycles).
 type Analyzer struct {
 	Name  string
 	Doc   string
@@ -66,13 +66,11 @@ type Result struct {
 	Stats      *RunStats `json:"stats,omitempty"`
 }
 
-// RunStats reports where a run spent its time and how the cache behaved.
+// RunStats reports where a run spent its time.
 type RunStats struct {
-	Analyzers   []AnalyzerStat `json:"analyzers"`
-	CacheHits   int            `json:"cache_hits"`
-	CacheMisses int            `json:"cache_misses"`
-	LoadMS      int64          `json:"load_ms"`
-	WallMS      int64          `json:"wall_ms"`
+	Analyzers []AnalyzerStat `json:"analyzers"`
+	LoadMS    int64          `json:"load_ms"`
+	WallMS    int64          `json:"wall_ms"`
 }
 
 // AnalyzerStat is one analyzer's accumulated wall time across all packages
@@ -283,8 +281,7 @@ type TargetFacts struct {
 }
 
 // MergePass is the cross-package phase context: every target's facts in
-// package-path order, and nothing else — no syntax, no types — so merges
-// replay identically from cached facts.
+// package-path order, and nothing else — no syntax, no types.
 type MergePass struct {
 	Analyzer *Analyzer
 	Targets  []*TargetFacts
@@ -296,7 +293,7 @@ type MergePass struct {
 }
 
 // Reportf records a merge finding at an explicit position (facts carry
-// file/line/column; there is no token.Pos on the warm path).
+// file/line/column, not token.Pos).
 func (mp *MergePass) Reportf(file string, line, col int, format string, args ...any) {
 	*mp.findings = append(*mp.findings, Finding{
 		Analyzer: mp.Analyzer.Name,
@@ -328,11 +325,6 @@ func All() []*Analyzer {
 	}
 }
 
-// passResult is the output of one (analyzer, package) pass.
-type passResult struct {
-	findings []Finding
-}
-
 // Run executes the analyzers over the target packages, applies
 // //cmfl:lint-ignore suppressions, and returns the surviving findings
 // sorted by position. Malformed suppression comments (missing analyzer
@@ -343,20 +335,54 @@ type passResult struct {
 // lazily built shared structures (call graph, summaries, suppressions) are
 // protected by sync.Once.
 func Run(mod *Module, targets []*Package, analyzers []*Analyzer) Result {
-	perPkg, merged, _ := runPasses(mod, targets, analyzers, nil)
-	var findings []Finding
-	for _, pr := range perPkg {
-		findings = append(findings, pr.findings...)
+	findings, _ := runPasses(mod, targets, analyzers, nil)
+	return finish(findings, mod.Suppressions())
+}
+
+// RunOptions configures RunModule.
+type RunOptions struct {
+	// Stats attaches a RunStats to the Result.
+	Stats bool
+	// PkgFilter, when non-empty, keeps only targets whose import path
+	// contains it as a substring.
+	PkgFilter string
+	// WriteAPIBaseline regenerates benchmarks/api_baseline.json from this
+	// run's apicompat facts after analysis.
+	WriteAPIBaseline bool
+}
+
+// RunModule is the cmfl-vet entry point: load the packages matching
+// patterns (narrowed by opts.PkgFilter), run the analyzers, and apply
+// suppressions.
+func RunModule(dir string, patterns []string, analyzers []*Analyzer, opts RunOptions) (Result, error) {
+	wallStart := time.Now()
+	pkgs, mod, err := load(dir, patterns, opts.PkgFilter)
+	if err != nil {
+		return Result{}, err
 	}
-	findings = append(findings, merged...)
-	return finish(findings, mod.Suppressions(), nil)
+	stats := &RunStats{LoadMS: int64(time.Since(wallStart) / time.Millisecond)}
+	var findings []Finding
+	if len(pkgs) > 0 { // an empty target set must not write an empty API baseline
+		var tf []*TargetFacts
+		findings, tf = runPasses(mod, pkgs, analyzers, stats)
+		if opts.WriteAPIBaseline {
+			if err := WriteAPIBaseline(mod.RootDir, tf); err != nil {
+				return Result{}, err
+			}
+		}
+	}
+	res := finish(findings, mod.Suppressions())
+	if opts.Stats {
+		stats.WallMS = int64(time.Since(wallStart) / time.Millisecond)
+		res.Stats = stats
+	}
+	return res, nil
 }
 
 // runPasses executes every (analyzer, target) pass concurrently, then the
-// merge phase sequentially. It returns per-target pass findings (indexed
-// like targets; merge findings separate so the cache can store pass-level
-// findings only) and the per-target facts.
-func runPasses(mod *Module, targets []*Package, analyzers []*Analyzer, stats *RunStats) ([]passResult, []Finding, []*TargetFacts) {
+// merge phase sequentially. It returns the pass findings followed by the
+// merge findings, and the per-target facts.
+func runPasses(mod *Module, targets []*Package, analyzers []*Analyzer, stats *RunStats) ([]Finding, []*TargetFacts) {
 	facts := make([]*PackageFacts, len(targets))
 	for i := range facts {
 		facts[i] = &PackageFacts{}
@@ -383,10 +409,10 @@ func runPasses(mod *Module, targets []*Package, analyzers []*Analyzer, stats *Ru
 	}
 	wg.Wait()
 
-	perPkg := make([]passResult, len(targets))
-	for ai := range analyzers {
-		for ti := range targets {
-			perPkg[ti].findings = append(perPkg[ti].findings, buffers[ai*len(targets)+ti]...)
+	var findings []Finding
+	for ti := range targets {
+		for ai := range analyzers {
+			findings = append(findings, buffers[ai*len(targets)+ti]...)
 		}
 	}
 
@@ -394,39 +420,27 @@ func runPasses(mod *Module, targets []*Package, analyzers []*Analyzer, stats *Ru
 	for i, pkg := range targets {
 		tf[i] = &TargetFacts{Path: pkg.Path, Facts: facts[i]}
 	}
-	merged := runMerges(analyzers, tf, durations, mod.RootDir)
-
-	if stats != nil {
-		fillAnalyzerStats(stats, analyzers, durations, buffers, merged)
-	}
-	return perPkg, merged, tf
-}
-
-// runMerges executes the merge phase over target facts in package-path
-// order. durations, when non-nil, accumulates merge wall time per analyzer
-// index.
-func runMerges(analyzers []*Analyzer, tf []*TargetFacts, durations []int64, rootDir string) []Finding {
-	ordered := make([]*TargetFacts, len(tf))
-	copy(ordered, tf)
+	ordered := append([]*TargetFacts(nil), tf...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Path < ordered[j].Path })
-
 	var merged []Finding
 	for ai, a := range analyzers {
 		if a.Merge == nil {
 			continue
 		}
 		start := time.Now()
-		a.Merge(&MergePass{Analyzer: a, Targets: ordered, RootDir: rootDir, findings: &merged})
-		if durations != nil {
-			durations[ai] += int64(time.Since(start))
-		}
+		a.Merge(&MergePass{Analyzer: a, Targets: ordered, RootDir: mod.RootDir, findings: &merged})
+		durations[ai] += int64(time.Since(start))
 	}
-	return merged
+
+	if stats != nil {
+		fillAnalyzerStats(stats, analyzers, durations, buffers, merged)
+	}
+	return append(findings, merged...), tf
 }
 
 // finish applies suppressions (including reporting malformed markers) and
 // sorts. supp may carry malformed-marker findings discovered at scan time.
-func finish(findings []Finding, supp *suppressionIndex, stats *RunStats) Result {
+func finish(findings []Finding, supp *suppressionIndex) Result {
 	findings = append(findings, supp.malformed...)
 	kept := make([]Finding, 0, len(findings))
 	suppressed := 0
@@ -450,7 +464,7 @@ func finish(findings []Finding, supp *suppressionIndex, stats *RunStats) Result 
 		}
 		return a.Message < b.Message
 	})
-	return Result{Findings: kept, Suppressed: suppressed, Stats: stats}
+	return Result{Findings: kept, Suppressed: suppressed}
 }
 
 // fillAnalyzerStats aggregates per-analyzer durations and finding counts.

@@ -3,6 +3,7 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -267,5 +268,130 @@ func TestRepoClean(t *testing.T) {
 	}
 	if res.Suppressed == 0 {
 		t.Error("suppressed = 0: the audited //cmfl:lint-ignore markers went unseen")
+	}
+}
+
+// writeTestModule lays out a two-package throwaway module where b imports
+// a: a carries one errcheck finding and one suppressed one, b none.
+func writeTestModule(t testing.TB) string {
+	t.Helper()
+	dir := t.TempDir()
+	writeModuleFile(t, dir, "go.mod", "module lintmod\n\ngo 1.24\n")
+	writeModuleFile(t, dir, "a/a.go", `package a
+
+import "os"
+
+func Touch(path string) {
+	_ = os.Remove(path)
+}
+
+func Quiet(path string) {
+	//cmfl:lint-ignore errcheck best-effort cleanup in fixture
+	_ = os.Remove(path)
+}
+`)
+	writeModuleFile(t, dir, "b/b.go", `package b
+
+import "lintmod/a"
+
+func Use() {
+	a.Touch("x")
+}
+`)
+	return dir
+}
+
+func writeModuleFile(t testing.TB, dir, rel, content string) {
+	t.Helper()
+	full := filepath.Join(dir, rel)
+	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunModulePkgFilter: -pkg narrows the target set by substring. b
+// imports a, so a is loaded either way; only as a target do its findings
+// and its suppression count.
+func TestRunModulePkgFilter(t *testing.T) {
+	dir := writeTestModule(t)
+	for _, tc := range []struct {
+		filter               string
+		findings, suppressed int
+	}{
+		{"lintmod/b", 0, 0},
+		{"lintmod/a", 1, 1},
+	} {
+		res, err := RunModule(dir, []string{"./..."}, []*Analyzer{ErrCheck}, RunOptions{PkgFilter: tc.filter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Findings) != tc.findings || res.Suppressed != tc.suppressed {
+			t.Errorf("run filtered to %s = %d finding(s), %d suppressed, want %d and %d: %v",
+				tc.filter, len(res.Findings), res.Suppressed, tc.findings, tc.suppressed, res.Findings)
+		}
+	}
+}
+
+// TestRunModuleMissingImport: an import that resolves nowhere is a load
+// error naming the import, never an empty package or a panic.
+func TestRunModuleMissingImport(t *testing.T) {
+	dir := writeTestModule(t)
+	writeModuleFile(t, dir, "c/c.go", "package c\n\nimport _ \"cmflmissing/pkg\"\n")
+	res, err := RunModule(dir, []string{"./..."}, []*Analyzer{ErrCheck}, RunOptions{})
+	if err == nil {
+		t.Fatalf("RunModule succeeded with %d finding(s), want a load error", len(res.Findings))
+	}
+	if !strings.Contains(err.Error(), "cmflmissing/pkg") {
+		t.Errorf("load error does not name the missing import: %v", err)
+	}
+}
+
+// TestRunModuleWithoutGoCommand: standard-library export data comes from
+// `go list`; without a go command on PATH the load fails loudly.
+func TestRunModuleWithoutGoCommand(t *testing.T) {
+	dir := writeTestModule(t)
+	t.Setenv("PATH", "")
+	_, err := RunModule(dir, []string{"./..."}, []*Analyzer{ErrCheck}, RunOptions{})
+	if err == nil || !strings.Contains(err.Error(), "go list could not run") {
+		t.Errorf("RunModule without go on PATH: err = %v, want \"go list could not run\"", err)
+	}
+}
+
+// TestRunModuleRepeatable runs the full suite over the real module twice
+// and demands identical results, down to the per-analyzer finding counts
+// before suppression: the byte-identical -json and -sarif documents rest
+// on this.
+func TestRunModuleRepeatable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	root := filepath.Join("..", "..")
+	var runs [2]Result
+	for i := range runs {
+		res, err := RunModule(root, []string{"./..."}, All(), RunOptions{Stats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range res.Stats.Analyzers {
+			res.Stats.Analyzers[j].MS = 0
+		}
+		res.Stats.LoadMS, res.Stats.WallMS = 0, 0
+		runs[i] = res
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("two runs over the module diverged:\n  first:  %+v\n  second: %+v", runs[0], runs[1])
+	}
+}
+
+// BenchmarkCmflVetCold measures a full load and analysis of the module.
+func BenchmarkCmflVetCold(b *testing.B) {
+	root := filepath.Join("..", "..")
+	for i := 0; i < b.N; i++ {
+		if _, err := RunModule(root, []string{"./..."}, All(), RunOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,7 +10,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -19,9 +23,12 @@ import (
 // golang.org/x/tools: it walks the module for package directories, filters
 // files through the stdlib build-constraint matcher, parses them with
 // comments, and type-checks in dependency order. Imports inside the module
-// resolve to our own loaded packages; everything else (the standard
-// library) resolves through the stdlib source importer, so the whole
-// pipeline stays dependency-free.
+// resolve to our own loaded packages. Everything else (the standard
+// library) is read from compiler export data: one
+// `go list -export -deps` per Load names the export file of every
+// non-module import, and the gc importer reads those files. The go command
+// builds that export data into GOCACHE the first time (the same work
+// `go build` does for std); later runs only read it.
 
 // Package is one type-checked package of the module under analysis.
 type Package struct {
@@ -99,6 +106,7 @@ type loader struct {
 	mod     *Module
 	ctx     build.Context
 	std     types.Importer
+	ext     map[string]bool // non-module imports of the parsed files
 	loading map[string]bool // import cycle detection
 }
 
@@ -108,8 +116,17 @@ type loader struct {
 // dependencies inside the module are loaded too (reachable via Module) but
 // not returned as targets. testdata directories are skipped by `...`
 // expansion yet loadable when named explicitly — that is how the analyzer
-// fixtures are exercised.
+// fixtures are exercised. A package that fails to parse, an import that
+// does not resolve, or a go command that cannot run is an error, never an
+// empty package.
 func Load(dir string, patterns []string) ([]*Package, *Module, error) {
+	return load(dir, patterns, "")
+}
+
+// load is Load keeping only the targets whose import path contains filter.
+// Filtering happens before anything is parsed, so the filtered-out
+// packages do not enter the Module unless a kept target imports them.
+func load(dir string, patterns []string, filter string) ([]*Package, *Module, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, nil, err
@@ -128,7 +145,7 @@ func Load(dir string, patterns []string) ([]*Package, *Module, error) {
 			funcDecls: make(map[*types.Func]funcRef),
 		},
 		ctx:     build.Default,
-		std:     importer.ForCompiler(fset, "source", nil),
+		ext:     make(map[string]bool),
 		loading: make(map[string]bool),
 	}
 
@@ -138,13 +155,61 @@ func Load(dir string, patterns []string) ([]*Package, *Module, error) {
 	}
 	var targets []*Package
 	for _, p := range paths {
-		pkg, err := ld.load(p)
+		if !strings.Contains(p, filter) {
+			continue
+		}
+		pkg, err := ld.parse(p)
 		if err != nil {
 			return nil, nil, err
 		}
 		targets = append(targets, pkg)
 	}
+	if ld.std, err = exportImporter(fset, root, ld.ext); err != nil {
+		return nil, nil, err
+	}
+	for _, pkg := range targets {
+		if err := ld.check(pkg); err != nil {
+			return nil, nil, err
+		}
+	}
 	return targets, ld.mod, nil
+}
+
+// exportImporter returns a gc importer over the export data of paths and
+// their dependencies, located by a single `go list -export -deps` run in
+// the module root.
+func exportImporter(fset *token.FileSet, root string, paths map[string]bool) (types.Importer, error) {
+	exports := make(map[string]string)
+	if len(paths) > 0 {
+		sorted := make([]string, 0, len(paths))
+		for p := range paths {
+			sorted = append(sorted, p)
+		}
+		sort.Strings(sorted) // go list reports the first bad import; keep it stable
+		cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}"}, sorted...)...)
+		cmd.Dir = root
+		out, err := cmd.Output()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return nil, fmt.Errorf("lint: go list -export: %s", bytes.TrimSpace(exit.Stderr))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("lint: go list could not run: %w", err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+				exports[path] = file
+			}
+		}
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: go list reported no export data for %s", path)
+		}
+		return os.Open(file)
+	}
+	return importer.ForCompiler(fset, "gc", lookup), nil
 }
 
 // findModule walks up from dir to the enclosing go.mod and reads the module
@@ -321,9 +386,9 @@ func (ld *loader) listGoFiles(dir string) ([]string, error) {
 	return files, nil
 }
 
-// load parses and type-checks one module package (and, recursively, its
-// module-internal dependencies), caching results on the Module.
-func (ld *loader) load(importPath string) (*Package, error) {
+// parse parses one module package and, recursively, its module-internal
+// imports, recording every other import for the export-data importer.
+func (ld *loader) parse(importPath string) (*Package, error) {
 	if pkg, ok := ld.mod.Pkgs[importPath]; ok {
 		return pkg, nil
 	}
@@ -345,23 +410,39 @@ func (ld *loader) load(importPath string) (*Package, error) {
 		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
 	}
 
-	var files []*ast.File
+	pkg := &Package{Path: importPath, Dir: dir}
 	for _, name := range names {
 		f, err := parser.ParseFile(ld.mod.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
+		pkg.Files = append(pkg.Files, f)
 	}
-
-	// Load module-internal imports first so type checking below can resolve
-	// them from the cache.
-	for _, f := range files {
+	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {
 			p := strings.Trim(imp.Path.Value, `"`)
-			if p == ld.mod.Path || strings.HasPrefix(p, ld.mod.Path+"/") {
-				if _, err := ld.load(p); err != nil {
-					return nil, err
+			if !ld.inModule(p) {
+				ld.ext[p] = true
+			} else if _, err := ld.parse(p); err != nil {
+				return nil, err
+			}
+		}
+	}
+	ld.mod.Pkgs[importPath] = pkg
+	return pkg, nil
+}
+
+// check type-checks a parsed package after its module-internal imports,
+// and indexes its function declarations on the Module.
+func (ld *loader) check(pkg *Package) error {
+	if pkg.Types != nil {
+		return nil
+	}
+	for _, f := range pkg.Files {
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); ld.inModule(p) {
+				if err := ld.check(ld.mod.Pkgs[p]); err != nil {
+					return err
 				}
 			}
 		}
@@ -376,15 +457,13 @@ func (ld *loader) load(importPath string) (*Package, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: importerFunc(ld.importFor)}
-	tpkg, err := conf.Check(importPath, ld.mod.Fset, files, info)
+	tpkg, err := conf.Check(pkg.Path, ld.mod.Fset, pkg.Files, info)
 	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, err)
+		return fmt.Errorf("lint: type-checking %s: %w", pkg.Path, err)
 	}
+	pkg.Types, pkg.Info = tpkg, info
 
-	pkg := &Package{Path: importPath, Dir: dir, Files: files, Types: tpkg, Info: info}
-	ld.mod.Pkgs[importPath] = pkg
-
-	for _, f := range files {
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
@@ -395,7 +474,12 @@ func (ld *loader) load(importPath string) (*Package, error) {
 			}
 		}
 	}
-	return pkg, nil
+	return nil
+}
+
+// inModule reports whether an import path names a package of the module.
+func (ld *loader) inModule(path string) bool {
+	return path == ld.mod.Path || strings.HasPrefix(path, ld.mod.Path+"/")
 }
 
 // importPathToDir maps a module import path to its directory.
@@ -411,15 +495,12 @@ func (ld *loader) importPathToDir(importPath string) (string, error) {
 	return filepath.Join(mod.RootDir, filepath.FromSlash(rel)), nil
 }
 
-// importFor is the types.Importer bridging module-internal imports to our
-// own loader and everything else to the stdlib source importer.
+// importFor is the types.Importer bridging module-internal imports to the
+// packages check has already type-checked and everything else to the
+// export-data importer.
 func (ld *loader) importFor(path string) (*types.Package, error) {
-	if path == ld.mod.Path || strings.HasPrefix(path, ld.mod.Path+"/") {
-		pkg, err := ld.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
+	if ld.inModule(path) {
+		return ld.mod.Pkgs[path].Types, nil
 	}
 	return ld.std.Import(path)
 }
