@@ -94,10 +94,6 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	if err := validateClient(&cfg); err != nil {
 		return nil, err
 	}
-	filter := cfg.Filter
-	if filter == nil {
-		filter = fl.Vanilla{}
-	}
 	res := &ClientResult{}
 	sess := &clientSession{
 		cfg: &cfg,
@@ -120,12 +116,14 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	network := cfg.Model()
 	rng := fl.ClientStream(cfg.Seed, cfg.ID)
 
-	// Codec scratch, reused across rounds: encodeUpdate2 copies the encoded
-	// payload into the staged frame, so overwriting encBuf next round can
+	step := fl.ClientStep{
+		Epochs: cfg.Epochs, Batch: cfg.Batch,
+		Filter: cfg.Filter, Codec: cfg.Compressor, ErrorFeedback: cfg.ErrorFeedback,
+	}
+	// The step reuses its payload buffer across rounds: encodeUpdate2 copies
+	// the payload into the staged frame, so the next round's encode can
 	// never corrupt a pending (resendable) reply.
-	var encBuf []byte
-	var decBuf []float64
-	var residual []float64 // EF-SGD residual; nil until first compressed upload
+	var state fl.ClientState
 
 	var prevParams, feedback []float64
 	for {
@@ -161,50 +159,23 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 			prevParams = params
 
 			sess.inj.beginRound(round)
-			delta, _, err := fl.LocalTrain(network, cfg.Data, params, cfg.LR.At(round), cfg.Epochs, cfg.Batch, rng)
-			if err != nil {
-				return nil, fmt.Errorf("emu: client %d local training: %w", cfg.ID, err)
+			// The wire carries only the gate's Decision.Metric, so the step
+			// gets no feedback signs: it gates on the float feedback and
+			// skips the relevance trace.
+			if err := step.Run(&state, network, cfg.Data, rng, params, feedback, nil, cfg.LR.At(round), round); err != nil {
+				return nil, fmt.Errorf("emu: client %d round %d: %w", cfg.ID, round, err)
 			}
-			dec, err := filter.Check(delta, params, feedback, round)
-			if err != nil {
-				return nil, fmt.Errorf("emu: client %d filter: %w", cfg.ID, err)
-			}
-			if dec.Upload {
-				if cfg.Compressor != nil {
-					if cfg.ErrorFeedback {
-						// Fold the accumulated compression residual into the
-						// update post-gate: the upload decision saw the raw
-						// delta, the wire carries the corrected one.
-						if residual == nil {
-							residual = make([]float64, len(delta))
-						}
-						for j := range delta {
-							delta[j] += residual[j]
-						}
-					}
-					payload, err := cfg.Compressor.EncodeInto(encBuf, delta)
-					if err != nil {
-						return nil, fmt.Errorf("emu: client %d encode: %w", cfg.ID, err)
-					}
-					encBuf = payload
-					if cfg.ErrorFeedback {
-						decoded, err := cfg.Compressor.DecodeInto(decBuf, payload, len(delta))
-						if err != nil {
-							return nil, fmt.Errorf("emu: client %d residual decode: %w", cfg.ID, err)
-						}
-						decBuf = decoded
-						for j := range residual {
-							residual[j] = delta[j] - decoded[j]
-						}
-					}
-					sess.stage(msgUpdate2, encodeUpdate2(cfg.ID, round, dec.Metric, len(delta), payload))
-				} else {
-					sess.stage(msgUpdate, encodeUpdate(cfg.ID, round, dec.Metric, delta))
-				}
-				res.Uploads++
-			} else {
+			dec := state.Decision
+			switch {
+			case !dec.Upload:
 				sess.stage(msgSkip, encodeSkip(cfg.ID, round, dec.Metric))
 				res.Skips++
+			case cfg.Compressor != nil:
+				sess.stage(msgUpdate2, encodeUpdate2(cfg.ID, round, dec.Metric, len(state.Delta), state.Payload))
+				res.Uploads++
+			default:
+				sess.stage(msgUpdate, encodeUpdate(cfg.ID, round, dec.Metric, state.Delta))
+				res.Uploads++
 			}
 			if err := sess.flush(); err != nil {
 				return nil, fmt.Errorf("emu: client %d send round %d: %w", cfg.ID, round, err)

@@ -129,35 +129,6 @@ func growExpansion(p []float64, x float64) []float64 {
 	return append(p[:i], x)
 }
 
-// Scalar sums float64 values exactly: the one-component sibling of
-// Accumulator, for the scalar round statistics (loss and relevance sums)
-// that ride alongside the vector aggregate and must be just as
-// grouping-invariant. Unlike Accumulator, the zero value is empty and
-// ready to use.
-//
-// Not safe for concurrent use.
-type Scalar struct {
-	parts []float64
-}
-
-// Add folds one value into the running exact sum.
-func (s *Scalar) Add(x float64) { s.parts = growExpansion(s.parts, x) }
-
-// Merge folds another scalar's exact sum into this one; like
-// Accumulator.Merge, grouping leaves no trace.
-func (s *Scalar) Merge(b *Scalar) {
-	for _, v := range b.parts {
-		s.parts = growExpansion(s.parts, v)
-	}
-}
-
-// Round returns the correctly rounded float64 of the exact sum (+0 when
-// empty), leaving the scalar untouched.
-func (s *Scalar) Round() float64 { return roundExpansion(s.parts) }
-
-// Reset empties the scalar, retaining term capacity.
-func (s *Scalar) Reset() { s.parts = s.parts[:0] }
-
 // Round writes the correctly rounded float64 value of each coordinate's
 // exact sum into dst (grown as needed) and returns it. An empty coordinate
 // rounds to +0. The accumulator is left untouched, so Round may be called

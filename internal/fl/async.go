@@ -137,10 +137,6 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 	if err := validateAsync(&cfg); err != nil {
 		return nil, err
 	}
-	filter := cfg.Filter
-	if filter == nil {
-		filter = Vanilla{}
-	}
 
 	global := cfg.Model()
 	params := global.ParamVector()
@@ -174,7 +170,10 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		schedule(k, 0)
 	}
 
+	step := ClientStep{Epochs: cfg.Epochs, Batch: cfg.Batch, Filter: cfg.Filter}
+	states := make([]ClientState, d)
 	feedback := make([]float64, dim)
+	var signBuf []int8
 	res := &AsyncResult{SkipCounts: make([]int, d)}
 	cumUploads := 0
 	var cumBytes int64
@@ -187,34 +186,30 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		k := c.client
 		// The engine charges one "round" of local training computed from
 		// the model snapshot the client pulled.
-		delta, _, err := LocalTrain(nets[k], cfg.ClientData[k], pulled[k], cfg.LR.At(events), cfg.Epochs, cfg.Batch, rngs[k])
-		if err != nil {
+		var feedbackSigns []int8
+		if !core.AllZero(feedback) {
+			signBuf = core.SignsInto(signBuf[:0], feedback)
+			feedbackSigns = signBuf
+		}
+		s := &states[k]
+		if err := step.Run(s, nets[k], cfg.ClientData[k], rngs[k], pulled[k], feedback, feedbackSigns, cfg.LR.At(events), events); err != nil {
 			return nil, fmt.Errorf("fl: async client %d: %w", k, err)
 		}
 		staleness := version - c.version
-		dec, err := filter.Check(delta, pulled[k], feedback, events)
-		if err != nil {
-			return nil, fmt.Errorf("fl: async client %d filter: %w", k, err)
-		}
-		rel := math.NaN()
-		if !core.AllZero(feedback) {
-			if r, err := core.Relevance(delta, feedback); err == nil {
-				rel = r
-			}
-		}
-
+		upload := s.Decision.Upload
 		ev := AsyncEvent{
 			Time:      c.at,
 			Client:    k,
 			Staleness: staleness,
-			Uploaded:  dec.Upload,
-			Relevance: rel,
+			Uploaded:  upload,
+			Relevance: s.Relevance,
 			Accuracy:  math.NaN(),
 		}
-		if dec.Upload {
+		cumBytes += s.Bytes
+		if upload {
 			scale := cfg.MixAlpha / math.Sqrt(1+float64(staleness))
 			applied := make([]float64, dim)
-			for j, v := range delta {
+			for j, v := range s.Delta {
 				applied[j] = scale * v
 				params[j] += applied[j]
 			}
@@ -222,13 +217,11 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 			//cmfl:order-pinned completion events pop in deterministic virtual-time order; the event schedule is the algorithm
 			staleSum += float64(staleness)
 			cumUploads++
-			cumBytes += int64(dim) * 8
 			for j := range feedback {
 				feedback[j] = cfg.FeedbackDecay*feedback[j] + (1-cfg.FeedbackDecay)*applied[j]
 			}
 		} else {
 			res.SkipCounts[k]++
-			cumBytes += SkipNotificationBytes
 		}
 		ev.CumUploads = cumUploads
 		ev.CumUplinkBytes = cumBytes
@@ -246,19 +239,17 @@ func RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 		}
 		res.Events = append(res.Events, ev)
 		if len(cfg.Observers) > 0 {
-			uplink := int64(dim) * 8
-			uploadedN := 1
-			if !dec.Upload {
-				uplink = SkipNotificationBytes
-				uploadedN = 0
+			uploadedN := 0
+			if upload {
+				uploadedN = 1
 			}
 			telemetry.EmitClient(cfg.Observers, telemetry.ClientEvent{
 				Engine:      telemetry.EngineAsync,
 				Round:       events,
 				Client:      k,
-				Uploaded:    dec.Upload,
-				Relevance:   rel,
-				UplinkBytes: uplink,
+				Uploaded:    upload,
+				Relevance:   s.Relevance,
+				UplinkBytes: s.Bytes,
 			})
 			telemetry.EmitRound(cfg.Observers, telemetry.RoundEvent{
 				Engine:         telemetry.EngineAsync,

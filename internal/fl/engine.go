@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"cmfl/internal/core"
@@ -25,16 +26,6 @@ type client struct {
 	net  *nn.Network
 	data *dataset.Set
 	rng  *xrand.Stream
-}
-
-// localResult is what a client reports back to the engine each round.
-type localResult struct {
-	delta        []float64
-	loss         float64
-	upload       bool
-	relevance    float64
-	significance float64
-	err          error
 }
 
 // Run executes a synchronous federated training following Algorithm 1.
@@ -79,18 +70,21 @@ func Run(cfg Config) (*Result, error) {
 	var cumBytes int64
 	var serverVelocity []float64
 
-	results := make([]localResult, len(clients))
-	clientBytes := make([]int64, len(clients)) // per-round uplink cost per client
-
-	// Codec scratch, reused every round: the aggregation loop is sequential
-	// and Axpy consumes each decoded update before the next overwrite, so
-	// one encode buffer and one decode buffer suffice for all clients.
-	var encScratch []byte
-	var decScratch []float64
-	var residuals [][]float64 // per-client EF-SGD residual, lazily sized
-	if cfg.Compressor != nil && cfg.ErrorFeedback {
-		residuals = make([][]float64, len(clients))
+	step := ClientStep{
+		Epochs: cfg.Epochs, Batch: cfg.Batch,
+		ProxMu: cfg.ProxMu, DPClip: cfg.DPClip, DPNoiseSigma: cfg.DPNoiseSigma,
+		Filter: filter, Codec: cfg.Compressor, ErrorFeedback: cfg.ErrorFeedback,
 	}
+	fold := Fold{Dim: dim, Codec: cfg.Compressor}
+	if cfg.WeightedAggregation {
+		fold.Weights = make([]float64, len(clients))
+		for i, c := range clients {
+			fold.Weights[i] = float64(c.data.Len())
+		}
+	}
+	states := make([]ClientState, len(clients))
+	significance := make([]float64, len(clients))
+	errs := make([]error, len(clients))
 	sem := make(chan struct{}, cfg.Parallelism)
 	sampler := xrand.Derive(cfg.Seed, "fl-sampler", 0)
 	var signBuf []int8 // reused feedback sign vector, rebuilt each round
@@ -118,79 +112,32 @@ func Run(cfg Config) (*Result, error) {
 			go func(i int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				results[i] = clients[i].trainRound(params, staleFeedback, feedbackSigns, lr, cfg.Epochs, cfg.Batch, filter, t, cfg.DPClip, cfg.DPNoiseSigma, cfg.ProxMu)
+				c := clients[i]
+				if errs[i] = step.Run(&states[i], c.net, c.data, c.rng, params, staleFeedback, feedbackSigns, lr, t); errs[i] == nil {
+					significance[i], errs[i] = gaia.Significance(states[i].Delta, params)
+				}
 			}(i)
 		}
 		wg.Wait()
 		for _, i := range participants {
-			if results[i].err != nil {
-				return nil, fmt.Errorf("fl: round %d client %d: %w", t, i, results[i].err)
+			if errs[i] != nil {
+				return nil, fmt.Errorf("fl: round %d client %d: %w", t, i, errs[i])
 			}
 		}
 
 		// Aggregate uploaded updates by averaging (Algorithm 1 line 8),
 		// optionally weighted by sample counts (FedAvg's n_k/n).
-		globalUpdate := make([]float64, dim)
-		uploaded := 0
-		var lossSum, relSum, sigSum, weightSum float64
-		var uploadBytes int64
-		relCount := 0
-		//cmfl:order-pinned the ascending-client FedAvg fold IS the parity reference every other engine reproduces bit-for-bit
+		round, err := fold.Round(states, participants, nil, res.SkipCounts)
+		if err != nil {
+			return nil, fmt.Errorf("fl: round %d %w", t, err)
+		}
+		globalUpdate, uploaded := round.Update, round.Uploaded
+		var sigSum float64
+		//cmfl:order-pinned ascending-client mean, the same order as the fold
 		for _, i := range participants {
-			r := &results[i]
-			lossSum += r.loss
-			sigSum += r.significance
-			if !isNaN(r.relevance) {
-				relSum += r.relevance
-				relCount++
-			}
-			if !r.upload {
-				res.SkipCounts[i]++
-				clientBytes[i] = SkipNotificationBytes
-				continue
-			}
-			delta := r.delta
-			if cfg.Compressor != nil {
-				if residuals != nil {
-					// Error feedback: fold the residual of previous rounds'
-					// compression into the update before encoding. Applied
-					// post-gate, so the upload decision saw the raw delta.
-					if residuals[i] == nil {
-						residuals[i] = make([]float64, dim)
-					}
-					tensor.Axpy(1, residuals[i], delta)
-				}
-				payload, err := cfg.Compressor.EncodeInto(encScratch, delta)
-				if err != nil {
-					return nil, fmt.Errorf("fl: round %d client %d encode: %w", t, i, err)
-				}
-				encScratch = payload
-				decoded, err := cfg.Compressor.DecodeInto(decScratch, payload, dim)
-				if err != nil {
-					return nil, fmt.Errorf("fl: round %d client %d decode: %w", t, i, err)
-				}
-				decScratch = decoded
-				if residuals != nil {
-					for j := range residuals[i] {
-						residuals[i][j] = delta[j] - decoded[j]
-					}
-				}
-				delta = decoded
-				clientBytes[i] = int64(len(payload))
-			} else {
-				clientBytes[i] = int64(dim) * 8
-			}
-			uploadBytes += clientBytes[i]
-			weight := 1.0
-			if cfg.WeightedAggregation {
-				weight = float64(clients[i].data.Len())
-			}
-			tensor.Axpy(weight, delta, globalUpdate)
-			weightSum += weight
-			uploaded++
+			sigSum += significance[i]
 		}
 		if uploaded > 0 {
-			tensor.ScaleVec(1/weightSum, globalUpdate)
 			if cfg.ServerMomentum > 0 {
 				if serverVelocity == nil {
 					serverVelocity = make([]float64, dim)
@@ -207,7 +154,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		cumUploads += uploaded
-		cumBytes += uploadBytes + int64(len(participants)-uploaded)*SkipNotificationBytes
+		cumBytes += round.UplinkBytes
 
 		if obs, ok := filter.(FilterFeedback); ok {
 			obs.ObserveRound(t, uploaded, len(participants))
@@ -224,13 +171,10 @@ func Run(cfg Config) (*Result, error) {
 				CumUplinkBytes: cumBytes,
 				Accuracy:       nan(),
 			},
-			TrainLoss:        lossSum / float64(len(participants)),
+			TrainLoss:        round.TrainLoss,
 			MeanSignificance: sigSum / float64(len(participants)),
-			MeanRelevance:    nan(),
+			MeanRelevance:    round.MeanRelevance,
 			DeltaUpdate:      nan(),
-		}
-		if relCount > 0 {
-			stats.MeanRelevance = relSum / float64(relCount)
 		}
 		if uploaded > 0 {
 			if prevGlobalUpdate != nil {
@@ -261,9 +205,9 @@ func Run(cfg Config) (*Result, error) {
 					Engine:      telemetry.EngineSync,
 					Round:       t,
 					Client:      i,
-					Uploaded:    results[i].upload,
-					Relevance:   results[i].relevance,
-					UplinkBytes: clientBytes[i],
+					Uploaded:    states[i].Decision.Upload,
+					Relevance:   states[i].Relevance,
+					UplinkBytes: states[i].Bytes,
 				})
 			}
 			telemetry.EmitRound(cfg.Observers, stats.RoundEvent)
@@ -279,115 +223,6 @@ func Run(cfg Config) (*Result, error) {
 		res.ClientParams[i] = c.net.ParamVector()
 	}
 	return res, nil
-}
-
-// LocalTrain runs E epochs of minibatch SGD on data starting from the
-// broadcast global parameter vector and returns the resulting update delta
-// and mean batch loss. It is the single local-optimisation code path shared
-// by the in-process simulation and the TCP emulation.
-func LocalTrain(net *nn.Network, data *dataset.Set, global []float64, lr float64, epochs, batch int, rng *xrand.Stream) (delta []float64, loss float64, err error) {
-	return LocalTrainProx(net, data, global, lr, epochs, batch, 0, rng)
-}
-
-// LocalTrainProx is LocalTrain with FedProx's proximal term: every SGD step
-// additionally applies the gradient of μ/2·‖w − w_global‖², pulling the
-// local solution toward the broadcast model. mu = 0 recovers LocalTrain.
-func LocalTrainProx(net *nn.Network, data *dataset.Set, global []float64, lr float64, epochs, batch int, mu float64, rng *xrand.Stream) (delta []float64, loss float64, err error) {
-	if err := net.SetParamVector(global); err != nil {
-		return nil, 0, err
-	}
-	var lossSum float64
-	batches := 0
-	n := data.Len()
-	var mb dataset.Minibatch // reused across minibatches: zero steady-state allocs
-	for e := 0; e < epochs; e++ {
-		order := rng.Perm(n)
-		for lo := 0; lo < n; lo += batch {
-			hi := lo + batch
-			if hi > n {
-				hi = n
-			}
-			data.GatherInto(&mb, order[lo:hi])
-			//cmfl:order-pinned SGD minibatches fold in schedule order; the seeded permutation is the algorithm
-			lossSum += nn.TrainBatch(net, mb.X, mb.Y, lr)
-			if mu > 0 {
-				// Proximal pull toward the broadcast model, applied in place.
-				if err := net.DecayToward(global, lr*mu); err != nil {
-					return nil, 0, err
-				}
-			}
-			batches++
-		}
-	}
-	local := net.ParamVector()
-	return tensor.Sub(local, global), lossSum / math.Max(1, float64(batches)), nil
-}
-
-// privatize applies client-level differential privacy to an update in
-// place: clip the L2 norm to clip (if positive), then add per-coordinate
-// Gaussian noise with stddev sigma (if positive).
-//
-//cmfl:hotpath
-func privatize(delta []float64, clip, sigma float64, rng *xrand.Stream) {
-	if clip > 0 {
-		if norm := tensor.Norm2(delta); norm > clip {
-			tensor.ScaleVec(clip/norm, delta)
-		}
-	}
-	if sigma > 0 {
-		for j := range delta {
-			delta[j] += sigma * rng.Norm()
-		}
-	}
-}
-
-// trainRound runs the client's local optimisation from the broadcast global
-// parameters and produces its (possibly withheld) update. feedbackSigns is
-// the engine's per-round precomputed sign vector of feedback (nil when there
-// is no feedback yet).
-func (c *client) trainRound(global, feedback []float64, feedbackSigns []int8, lr float64, epochs, batch int, filter UploadFilter, t int, dpClip, dpSigma, proxMu float64) localResult {
-	delta, loss, err := LocalTrainProx(c.net, c.data, global, lr, epochs, batch, proxMu, c.rng)
-	if err != nil {
-		return localResult{err: err}
-	}
-	privatize(delta, dpClip, dpSigma, c.rng)
-
-	dec, err := CheckUpload(filter, delta, global, feedback, feedbackSigns, t)
-	if err != nil {
-		return localResult{err: err}
-	}
-	rel := nan()
-	if len(feedbackSigns) > 0 {
-		if r, err := core.SignAgreement(delta, feedbackSigns); err == nil {
-			rel = r
-		}
-	}
-	sig, err := gaia.Significance(delta, global)
-	if err != nil {
-		return localResult{err: err}
-	}
-	return localResult{
-		delta:        delta,
-		loss:         loss,
-		upload:       dec.Upload,
-		relevance:    rel,
-		significance: sig,
-	}
-}
-
-// CheckUpload routes the upload decision through the precomputed-sign fast
-// path when the filter supports it, falling back to the general Check.
-// Exported so the discrete-event simulation (internal/sim) gates uploads
-// with the exact decision path the in-process engine uses.
-//
-//cmfl:hotpath
-func CheckUpload(filter UploadFilter, delta, global, feedback []float64, feedbackSigns []int8, t int) (core.Decision, error) {
-	if sc, ok := filter.(SignChecker); ok {
-		if dec, handled, err := sc.CheckSigns(delta, feedbackSigns, t); handled || err != nil {
-			return dec, err
-		}
-	}
-	return filter.Check(delta, global, feedback, t)
 }
 
 // evaluate computes test accuracy in bounded-size forward batches.
@@ -412,8 +247,9 @@ func evaluate(net *nn.Network, test *dataset.Set, evalBatch int) float64 {
 	return float64(correct) / float64(test.Len())
 }
 
-// sampleClients returns the participant indices for one round: all clients
-// at full participation, otherwise a uniform sample of max(1, fraction·D).
+// sampleClients returns the participant indices for one round in ascending
+// order: all clients at full participation, otherwise a uniform sample of
+// max(1, fraction·D).
 func sampleClients(clients []*client, fraction float64, rng *xrand.Stream) []int {
 	d := len(clients)
 	if fraction <= 0 || fraction >= 1 {
@@ -427,7 +263,9 @@ func sampleClients(clients []*client, fraction float64, rng *xrand.Stream) []int
 	if k < 1 {
 		k = 1
 	}
-	return rng.Perm(d)[:k]
+	sample := rng.Perm(d)[:k]
+	sort.Ints(sample)
+	return sample
 }
 
 func validate(cfg *Config) error {

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"cmfl/internal/compress"
@@ -365,11 +366,28 @@ func TestCompressorReducesBytesAndStillLearns(t *testing.T) {
 	}
 }
 
+// countingCodec counts the calls reaching a wrapped codec.
+type countingCodec struct {
+	UpdateCodec
+	encodes, decodes atomic.Int64
+}
+
+func (c *countingCodec) EncodeInto(dst []byte, update []float64) ([]byte, error) {
+	c.encodes.Add(1)
+	return c.UpdateCodec.EncodeInto(dst, update)
+}
+
+func (c *countingCodec) DecodeInto(dst []float64, payload []byte, dim int) ([]float64, error) {
+	c.decodes.Add(1)
+	return c.UpdateCodec.DecodeInto(dst, payload, dim)
+}
+
 func TestCompressorComposesWithCMFL(t *testing.T) {
 	cfg := digitLogisticConfig(t, 6, true)
 	cfg.Rounds = 10
 	cfg.Filter = core.NewFilter(core.Constant(0.5))
-	cfg.Compressor = compress.TopK{K: 50}
+	codec := &countingCodec{UpdateCodec: compress.TopK{K: 50}}
+	cfg.Compressor = codec
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -380,6 +398,15 @@ func TestCompressorComposesWithCMFL(t *testing.T) {
 		int64(6*len(res.History)-last.CumUploads)*SkipNotificationBytes
 	if last.CumUplinkBytes != want {
 		t.Fatalf("bytes = %d, want %d", last.CumUplinkBytes, want)
+	}
+	// Without error feedback the client step encodes each upload once and
+	// the fold decodes that payload once.
+	uploads := int64(last.CumUploads)
+	if got := codec.encodes.Load(); got != uploads {
+		t.Fatalf("EncodeInto calls = %d, want one per upload (%d)", got, uploads)
+	}
+	if got := codec.decodes.Load(); got != uploads {
+		t.Fatalf("DecodeInto calls = %d, want one per upload (%d)", got, uploads)
 	}
 }
 

@@ -123,6 +123,28 @@ func TestObserverOrderingSync(t *testing.T) {
 	}
 }
 
+// TestObserverOrderingSampled pins Config.Observers' "in client order"
+// contract under client sampling: the sampler draws a random subset, but
+// each round folds and emits its participants in strictly ascending order.
+func TestObserverOrderingSampled(t *testing.T) {
+	cfg := digitLogisticConfig(t, 10, false)
+	cfg.Rounds = 6
+	cfg.ClientFraction = 0.5
+	rec := &eventRecorder{}
+	cfg.Observers = []telemetry.Observer{rec.observer()}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	rec.checkOrdering(t, telemetry.EngineSync)
+	rec.checkConsistency(t)
+	for i := 1; i < len(rec.clients); i++ {
+		prev, cur := rec.clients[i-1], rec.clients[i]
+		if cur.Round == prev.Round && cur.Client <= prev.Client {
+			t.Fatalf("round %d: client %d emitted after client %d; want ascending client order", cur.Round, cur.Client, prev.Client)
+		}
+	}
+}
+
 func TestObserverOrderingPartial(t *testing.T) {
 	cfg := partialConfig(t)
 	cfg.Rounds = 6

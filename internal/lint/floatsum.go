@@ -394,7 +394,7 @@ func recordAccumulatorFacts(pass *Pass, f *ast.File) {
 		}
 		if named := namedRecvType(sig.Recv().Type()); named != nil {
 			obj := named.Obj()
-			if obj.Pkg() != nil && obj.Pkg().Path() == accumulatorPath && (obj.Name() == "Accumulator" || obj.Name() == "Scalar") {
+			if obj.Pkg() != nil && obj.Pkg().Path() == accumulatorPath && obj.Name() == "Accumulator" {
 				switch fn.Name() {
 				case "Add", "Merge", "Round":
 					position := pass.Fset().Position(call.Pos())

@@ -8,35 +8,12 @@ import (
 
 	"cmfl/internal/core"
 	"cmfl/internal/emu"
-	"cmfl/internal/emu/shard"
 	"cmfl/internal/fl"
 	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
 	"cmfl/internal/tensor"
 	"cmfl/internal/xrand"
 )
-
-// clientRound is one client's contribution to the current round, written by
-// its shard worker and consumed by the driving goroutine.
-type clientRound struct {
-	delta     []float64
-	loss      float64
-	upload    bool
-	relevance float64
-	bytes     int64
-	delay     time.Duration
-	err       error
-}
-
-// shardWorker owns the scratch a worker goroutine reuses across rounds: one
-// model replica (reset per client via SetParamVector inside the solver) and
-// one codec encode buffer. Workers touch only per-client state — their own
-// scratch, the client's streams, the client's results slot — so the result
-// is independent of how clients are partitioned onto workers.
-type shardWorker struct {
-	net        *nn.Network
-	encScratch []byte
-}
 
 // Run executes the simulated federated training in virtual time.
 //
@@ -71,10 +48,20 @@ func Run(cfg Config) (*Result, error) {
 		timingRng[c] = xrand.DeriveCompact(cfg.Seed, "sim-timing", c)
 	}
 
-	workers := make([]*shardWorker, cfg.Shards)
-	for w := range workers {
-		workers[w] = &shardWorker{net: cfg.Model()}
+	// One model replica per worker goroutine, reset per client by the
+	// solver. Workers touch only per-client state — the client's streams,
+	// step state and delay slot — so the result is independent of how
+	// clients are partitioned onto workers.
+	nets := make([]*nn.Network, cfg.Shards)
+	for w := range nets {
+		nets[w] = cfg.Model()
 	}
+	step := fl.ClientStep{Epochs: cfg.Epochs, Batch: cfg.Batch, Filter: cfg.Filter, Codec: cfg.Compressor}
+	fold := fl.Fold{Dim: dim, Codec: cfg.Compressor}
+	states := make([]fl.ClientState, n)
+	delays := make([]time.Duration, n)
+	errs := make([]error, cfg.Shards)
+	var trained []int // the round's expected clients, ascending
 
 	res := &Result{
 		SkipCounts:      make([]int, n),
@@ -85,14 +72,11 @@ func Run(cfg Config) (*Result, error) {
 	q := emu.NewQuorum(n)
 	var heap eventHeap
 	expected := make([]bool, n)
-	results := make([]clientRound, n)
 
 	feedback := make([]float64, dim) // all zeros: "no feedback yet"
 	var signBuf []int8
 	cumUploads := 0
 	var cumBytes int64
-	var encScratch []byte
-	var decScratch []float64
 	var clock time.Duration // virtual now; rounds advance it monotonically
 
 	for t := 1; t <= cfg.Rounds; t++ {
@@ -107,15 +91,17 @@ func Run(cfg Config) (*Result, error) {
 
 		// Availability draws happen here, on the driving goroutine in
 		// ascending client order, before any worker touches the round.
+		trained = trained[:0]
 		for c := 0; c < n; c++ {
 			expected[c] = cfg.Availability >= 1 || timingRng[c].Float64() < cfg.Availability
-			results[c] = clientRound{}
+			if expected[c] {
+				trained = append(trained, c)
+			}
 		}
 
-		// Fan the per-client work out to the shard workers: train, gate,
-		// size the payload, draw the reply delay. Contiguous blocks keep
-		// each worker's memory access local; any partition would produce
-		// the same results.
+		// Fan the per-client work out to the workers: the client step, then
+		// the reply-delay draw. Contiguous blocks keep each worker's memory
+		// access local; any partition would produce the same results.
 		var wg sync.WaitGroup
 		per := (n + cfg.Shards - 1) / cfg.Shards
 		for w := 0; w < cfg.Shards; w++ {
@@ -127,15 +113,35 @@ func Run(cfg Config) (*Result, error) {
 				break
 			}
 			wg.Add(1)
-			go func(w *shardWorker, lo, hi int) {
+			go func(w, lo, hi int) {
 				defer wg.Done()
-				w.round(&cfg, lo, hi, t, lr, params, feedback, feedbackSigns, expected, results, trainRng, timingRng)
-			}(workers[w], lo, hi)
+				for c := lo; c < hi; c++ {
+					if !expected[c] {
+						continue
+					}
+					if err := step.Run(&states[c], nets[w], cfg.ClientData[c], trainRng[c], params, feedback, feedbackSigns, lr, t); err != nil {
+						errs[w] = fmt.Errorf("client %d: %w", c, err)
+						return
+					}
+					delay := cfg.Arrival.Sample(timingRng[c]) + cfg.Latency.Sample(timingRng[c])
+					if cfg.BandwidthBytesPerSec > 0 {
+						delay += time.Duration(float64(states[c].Bytes) / cfg.BandwidthBytesPerSec * float64(time.Second))
+					}
+					delays[c] = max(delay, 0)
+					if cfg.Compressor != nil {
+						// The fold decodes the payload: drop the raw delta now,
+						// so the round holds one compact payload per client.
+						states[c].Delta = nil
+					}
+				}
+			}(w, lo, hi)
 		}
 		wg.Wait()
-		for c := 0; c < n; c++ {
-			if results[c].err != nil {
-				return nil, fmt.Errorf("sim: round %d client %d: %w", t, c, results[c].err)
+		// Blocks ascend with the worker index and each worker stops at its
+		// first failure, so this reports the lowest failing client.
+		for _, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("sim: round %d %w", t, err)
 			}
 		}
 
@@ -144,10 +150,8 @@ func Run(cfg Config) (*Result, error) {
 		// tie-break, so zero-latency replies drain in client order and a
 		// reply landing exactly on the deadline beats the deadline event.
 		q.BeginRound(t, expected)
-		for c := 0; c < n; c++ {
-			if expected[c] {
-				heap.push(Event{At: roundStart + results[c].delay, Kind: EventArrive, Client: c, Round: t})
-			}
+		for _, c := range trained {
+			heap.push(Event{At: roundStart + delays[c], Kind: EventArrive, Client: c, Round: t})
 		}
 		if cfg.RoundDeadline > 0 {
 			heap.push(Event{At: roundStart + cfg.RoundDeadline, Kind: EventDeadline, Round: t})
@@ -186,7 +190,7 @@ func Run(cfg Config) (*Result, error) {
 					roundEnd = ev.At
 					if met != nil {
 						met.ReplyLatency.Observe((ev.At - roundStart).Seconds())
-						met.ReplyBytes.Observe(float64(results[ev.Client].bytes))
+						met.ReplyBytes.Observe(float64(states[ev.Client].Bytes))
 					}
 				case emu.VerdictDuplicate, emu.VerdictLate, emu.VerdictFuture, emu.VerdictUnknown:
 					return nil, fmt.Errorf("sim: round %d: current-round reply from client %d classified %v", t, ev.Client, v)
@@ -205,61 +209,28 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		// Aggregate the accepted uploads in ascending client order — the
-		// same accumulation order as fl.Run, regardless of arrival order
-		// or shard count. The scalar statistics go through exact
-		// accumulators, so they too are independent of any regrouping.
-		globalUpdate := make([]float64, dim)
-		uploaded := 0
-		var lossAcc, relAcc shard.Scalar
-		var uploadBytes int64
-		trained, relCount := 0, 0
-		for c := 0; c < n; c++ {
-			if !expected[c] {
-				continue
-			}
-			r := &results[c]
-			lossAcc.Add(r.loss)
-			trained++
-			if !math.IsNaN(r.relevance) {
-				relAcc.Add(r.relevance)
-				relCount++
-			}
+		// fold fl.Run uses, regardless of arrival order or shard count.
+		// Stragglers' loss and relevance still enter the round means.
+		round, err := fold.Round(states, trained, q.Replied, res.SkipCounts)
+		if err != nil {
+			return nil, fmt.Errorf("sim: round %d %w", t, err)
+		}
+		for _, c := range trained {
 			if !q.Replied(c) {
 				res.StragglerCounts[c]++
-				continue
 			}
-			if !r.upload {
-				res.SkipCounts[c]++
-				uploadBytes += fl.SkipNotificationBytes
-				continue
-			}
-			delta := r.delta
-			if cfg.Compressor != nil {
-				payload, err := cfg.Compressor.EncodeInto(encScratch, delta)
-				if err != nil {
-					return nil, fmt.Errorf("sim: round %d client %d encode: %w", t, c, err)
-				}
-				encScratch = payload
-				decoded, err := cfg.Compressor.DecodeInto(decScratch, payload, dim)
-				if err != nil {
-					return nil, fmt.Errorf("sim: round %d client %d decode: %w", t, c, err)
-				}
-				decScratch = decoded
-				delta = decoded
-			}
-			uploadBytes += r.bytes
-			//cmfl:order-pinned ascending-client FedAvg fold is the cross-engine parity reference (fl.Run folds identically)
-			tensor.Axpy(1, delta, globalUpdate)
-			uploaded++
+			// Folded: release the delta so a large population does not
+			// keep one per client alive between rounds.
+			states[c].Delta = nil
 		}
+		uploaded := round.Uploaded
 		if uploaded > 0 {
-			tensor.ScaleVec(1/float64(uploaded), globalUpdate)
 			//cmfl:order-pinned rounds apply to the model strictly sequentially; t-order is the algorithm
-			tensor.Axpy(1, globalUpdate, params)
-			feedback = globalUpdate
+			tensor.Axpy(1, round.Update, params)
+			feedback = round.Update
 		}
 		cumUploads += uploaded
-		cumBytes += uploadBytes
+		cumBytes += round.UplinkBytes
 
 		if obs, ok := cfg.Filter.(fl.FilterFeedback); ok {
 			obs.ObserveRound(t, uploaded, q.Expected())
@@ -281,21 +252,15 @@ func Run(cfg Config) (*Result, error) {
 			VirtualStart:  roundStart,
 			VirtualEnd:    roundEnd,
 			DeadlineFired: deadlineFired,
-			TrainLoss:     math.NaN(),
-			MeanRelevance: math.NaN(),
-		}
-		if trained > 0 {
-			stats.TrainLoss = lossAcc.Round() / float64(trained)
-		}
-		if relCount > 0 {
-			stats.MeanRelevance = relAcc.Round() / float64(relCount)
+			TrainLoss:     round.TrainLoss,
+			MeanRelevance: round.MeanRelevance,
 		}
 		if met != nil {
 			met.RoundDuration.Observe((roundEnd - roundStart).Seconds())
 		}
 		res.History = append(res.History, stats)
 		if len(cfg.Observers) > 0 {
-			for c := 0; c < n; c++ {
+			for _, c := range trained {
 				if !q.Replied(c) {
 					continue
 				}
@@ -303,9 +268,9 @@ func Run(cfg Config) (*Result, error) {
 					Engine:      telemetry.EngineSim,
 					Round:       t,
 					Client:      c,
-					Uploaded:    results[c].upload,
-					Relevance:   results[c].relevance,
-					UplinkBytes: results[c].bytes,
+					Uploaded:    states[c].Decision.Upload,
+					Relevance:   states[c].Relevance,
+					UplinkBytes: states[c].Bytes,
 				})
 			}
 			telemetry.EmitRound(cfg.Observers, stats.RoundEvent)
@@ -315,56 +280,4 @@ func Run(cfg Config) (*Result, error) {
 	res.FinalParams = append([]float64(nil), params...)
 	res.VirtualDuration = clock
 	return res, nil
-}
-
-// round processes the worker's client block for one round: local training,
-// the upload gate, payload sizing and the reply-delay draw. Everything here
-// is per-client pure computation — no event scheduling, no aggregation —
-// which is what makes the run invariant to the shard count.
-func (w *shardWorker) round(cfg *Config, lo, hi, t int, lr float64, params, feedback []float64, feedbackSigns []int8, expected []bool, results []clientRound, trainRng, timingRng []*xrand.Stream) {
-	dim := len(params)
-	for c := lo; c < hi; c++ {
-		if !expected[c] {
-			continue
-		}
-		r := &results[c]
-		delta, loss, err := fl.LocalTrainProx(w.net, cfg.ClientData[c], params, lr, cfg.Epochs, cfg.Batch, 0, trainRng[c])
-		if err != nil {
-			r.err = err
-			continue
-		}
-		dec, err := fl.CheckUpload(cfg.Filter, delta, params, feedback, feedbackSigns, t)
-		if err != nil {
-			r.err = err
-			continue
-		}
-		rel := math.NaN()
-		if len(feedbackSigns) > 0 {
-			if v, err := core.SignAgreement(delta, feedbackSigns); err == nil {
-				rel = v
-			}
-		}
-		bytes := int64(fl.SkipNotificationBytes)
-		if dec.Upload {
-			if cfg.Compressor != nil {
-				payload, err := cfg.Compressor.EncodeInto(w.encScratch, delta)
-				if err != nil {
-					r.err = err
-					continue
-				}
-				w.encScratch = payload
-				bytes = int64(len(payload))
-			} else {
-				bytes = int64(dim) * 8
-			}
-		}
-		delay := cfg.Arrival.Sample(timingRng[c]) + cfg.Latency.Sample(timingRng[c])
-		if cfg.BandwidthBytesPerSec > 0 {
-			delay += time.Duration(float64(bytes) / cfg.BandwidthBytesPerSec * float64(time.Second))
-		}
-		if delay < 0 {
-			delay = 0
-		}
-		r.delta, r.loss, r.upload, r.relevance, r.bytes, r.delay = delta, loss, dec.Upload, rel, bytes, delay
-	}
 }

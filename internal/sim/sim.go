@@ -6,12 +6,13 @@
 // monotonically drained heap, ordered by (virtual time, schedule sequence).
 //
 // The engine reuses the repository's single sources of truth rather than
-// re-implementing them: local optimisation is fl.LocalTrainProx, the CMFL
-// relevance gate is fl.CheckUpload, codec byte accounting goes through the
-// same fl.UpdateCodec interface, and straggler/duplicate/late semantics are
-// the exported emu.Quorum state machine — so the simulation cannot drift
-// from the engines it models. With zero latency, full availability and no
-// deadline, Run is bit-identical to fl.Run (asserted by TestFLParity).
+// re-implementing them: every simulated client runs fl.ClientStep (local
+// solver, CMFL gate, encode), the driver aggregates through fl.Fold (the
+// same ascending-client FedAvg fold as fl.Run, decoding the payload the step
+// encoded), and straggler/duplicate/late semantics are the exported
+// emu.Quorum state machine — so the simulation cannot drift from the
+// engines it models. With zero latency, full availability and no deadline,
+// Run is bit-identical to fl.Run (asserted by TestFLParity).
 //
 // Everything is a pure function of Config (including the seed): reruns and
 // different shard counts produce bit-identical final parameters, round
@@ -52,7 +53,8 @@ type Config struct {
 	Filter fl.UploadFilter
 	// Compressor lossily encodes uploads; nil uploads raw float64 vectors.
 	// Byte accounting and lossy aggregation match fl.Run; client-side
-	// error feedback (EF-SGD) is not simulated.
+	// error feedback (EF-SGD) is not simulated. Each client keeps its
+	// encoded payload between the step and the fold.
 	Compressor fl.UpdateCodec
 
 	// Rounds is the number of synchronous rounds.

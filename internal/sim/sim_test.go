@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cmfl/internal/compress"
 	"cmfl/internal/core"
 	"cmfl/internal/fl"
+	"cmfl/internal/gaia"
 	"cmfl/internal/telemetry"
 )
 
@@ -110,77 +112,167 @@ func TestDeterministicEventOrder(t *testing.T) {
 
 // TestFLParity is the cross-engine anchor: with zero latency, full
 // availability, no deadline and compat streams, the simulation must
-// reproduce fl.Run bit for bit — final parameters, upload counts and byte
-// accounting — both raw and through a lossy codec.
+// reproduce fl.Run bit for bit — final parameters, upload counts, byte
+// accounting and the per-round loss and relevance means — raw and through a
+// lossy codec, for every gate branch: vanilla (no sign checker), CMFL (the
+// sign fast path), CMFL with cosine relevance (the sign checker declines)
+// and Gaia. Each engine gets its own filter instance.
 func TestFLParity(t *testing.T) {
+	// gates marks the cases whose threshold withholds some updates, so the
+	// fold's skip path is covered; cmfl at 0.4 is the original parity case.
+	filters := []struct {
+		name  string
+		gates bool
+		new   func() fl.UploadFilter
+	}{
+		{"vanilla", false, func() fl.UploadFilter { return fl.Vanilla{} }},
+		{"cmfl", false, func() fl.UploadFilter { return core.NewFilter(core.Constant(0.4)) }},
+		{"cmfl-strict", true, func() fl.UploadFilter { return core.NewFilter(core.Constant(0.5)) }},
+		{"cmfl-cosine", true, func() fl.UploadFilter {
+			f := core.NewFilter(core.Constant(0.55))
+			f.UseCosine = true
+			return f
+		}},
+		{"gaia", true, func() fl.UploadFilter { return gaia.NewFilter(core.Constant(0.05)) }},
+	}
 	for _, codecName := range []string{"none", "top6+quantize8"} {
 		t.Run(codecName, func(t *testing.T) {
 			codec, err := compress.ParseName(codecName)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wl, werr := SyntheticWorkload(16, 8, 2, 6, 4242)
-			if werr != nil {
-				t.Fatal(werr)
-			}
+			for _, filter := range filters {
+				t.Run(filter.name, func(t *testing.T) {
+					wl, werr := SyntheticWorkload(16, 8, 2, 6, 4242)
+					if werr != nil {
+						t.Fatal(werr)
+					}
 
-			flCfg := fl.Config{
-				Model:      wl.Model,
-				ClientData: wl.Shards,
-				Epochs:     2,
-				Batch:      4,
-				LR:         core.Constant(0.12),
-				Filter:     core.NewFilter(core.Constant(0.4)),
-				Rounds:     5,
-				Seed:       4242,
-			}
-			simCfg := Config{
-				Model:         wl.Model,
-				ClientData:    wl.Shards,
-				Epochs:        2,
-				Batch:         4,
-				LR:            core.Constant(0.12),
-				Filter:        core.NewFilter(core.Constant(0.4)),
-				Rounds:        5,
-				Seed:          4242,
-				Shards:        3,
-				CompatStreams: true,
-			}
-			if codec != nil {
-				flCfg.Compressor = codec
-				simCfg.Compressor = codec
-			}
+					flCfg := fl.Config{
+						Model:      wl.Model,
+						ClientData: wl.Shards,
+						Epochs:     2,
+						Batch:      4,
+						LR:         core.Constant(0.12),
+						Filter:     filter.new(),
+						Rounds:     5,
+						Seed:       4242,
+					}
+					simCfg := Config{
+						Model:         wl.Model,
+						ClientData:    wl.Shards,
+						Epochs:        2,
+						Batch:         4,
+						LR:            core.Constant(0.12),
+						Filter:        filter.new(),
+						Rounds:        5,
+						Seed:          4242,
+						Shards:        3,
+						CompatStreams: true,
+					}
+					if codec != nil {
+						flCfg.Compressor = codec
+						simCfg.Compressor = codec
+					}
 
-			flRes, err := fl.Run(flCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			simRes, err := Run(simCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+					flRes, err := fl.Run(flCfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					simRes, err := Run(simCfg)
+					if err != nil {
+						t.Fatal(err)
+					}
 
-			if len(flRes.FinalParams) != len(simRes.FinalParams) {
-				t.Fatalf("param dims differ: fl %d, sim %d", len(flRes.FinalParams), len(simRes.FinalParams))
-			}
-			for j := range flRes.FinalParams {
-				if flRes.FinalParams[j] != simRes.FinalParams[j] {
-					t.Fatalf("param %d: fl %v != sim %v (bit parity broken)", j, flRes.FinalParams[j], simRes.FinalParams[j])
-				}
-			}
-			for r := range flRes.History {
-				fe, se := flRes.History[r].RoundEvent, simRes.History[r].RoundEvent
-				if fe.Uploaded != se.Uploaded || fe.Skipped != se.Skipped ||
-					fe.CumUploads != se.CumUploads || fe.CumUplinkBytes != se.CumUplinkBytes {
-					t.Fatalf("round %d accounting diverged:\n  fl:  %+v\n  sim: %+v", r+1, fe, se)
-				}
-			}
-			for c, n := range flRes.SkipCounts {
-				if simRes.SkipCounts[c] != n {
-					t.Fatalf("client %d skips: fl %d, sim %d", c, n, simRes.SkipCounts[c])
-				}
+					if len(flRes.FinalParams) != len(simRes.FinalParams) {
+						t.Fatalf("param dims differ: fl %d, sim %d", len(flRes.FinalParams), len(simRes.FinalParams))
+					}
+					for j := range flRes.FinalParams {
+						if flRes.FinalParams[j] != simRes.FinalParams[j] {
+							t.Fatalf("param %d: fl %v != sim %v (bit parity broken)", j, flRes.FinalParams[j], simRes.FinalParams[j])
+						}
+					}
+					for r := range flRes.History {
+						fe, se := flRes.History[r].RoundEvent, simRes.History[r].RoundEvent
+						if fe.Uploaded != se.Uploaded || fe.Skipped != se.Skipped ||
+							fe.CumUploads != se.CumUploads || fe.CumUplinkBytes != se.CumUplinkBytes {
+							t.Fatalf("round %d accounting diverged:\n  fl:  %+v\n  sim: %+v", r+1, fe, se)
+						}
+						fh, sh := flRes.History[r], simRes.History[r]
+						if !sameBits(fh.TrainLoss, sh.TrainLoss) {
+							t.Fatalf("round %d TrainLoss: fl %v != sim %v", r+1, fh.TrainLoss, sh.TrainLoss)
+						}
+						if !sameBits(fh.MeanRelevance, sh.MeanRelevance) {
+							t.Fatalf("round %d MeanRelevance: fl %v != sim %v", r+1, fh.MeanRelevance, sh.MeanRelevance)
+						}
+					}
+					skips := 0
+					for c, n := range flRes.SkipCounts {
+						if simRes.SkipCounts[c] != n {
+							t.Fatalf("client %d skips: fl %d, sim %d", c, n, simRes.SkipCounts[c])
+						}
+						skips += n
+					}
+					if filter.gates && skips == 0 {
+						t.Fatalf("%s never gated an update: the skip path went untested", filter.name)
+					}
+				})
 			}
 		})
+	}
+}
+
+// sameBits reports whether a and b are the same float64, NaN matching NaN.
+func sameBits(a, b float64) bool {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.IsNaN(a) && math.IsNaN(b)
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// countingCodec counts the calls reaching a wrapped codec; the shard
+// workers encode concurrently.
+type countingCodec struct {
+	fl.UpdateCodec
+	encodes, decodes atomic.Int64
+}
+
+func (c *countingCodec) EncodeInto(dst []byte, update []float64) ([]byte, error) {
+	c.encodes.Add(1)
+	return c.UpdateCodec.EncodeInto(dst, update)
+}
+
+func (c *countingCodec) DecodeInto(dst []float64, payload []byte, dim int) ([]float64, error) {
+	c.decodes.Add(1)
+	return c.UpdateCodec.DecodeInto(dst, payload, dim)
+}
+
+// TestEncodeOnce pins that every upload is encoded exactly once, by the
+// client step, and the fold decodes that payload instead of re-encoding.
+// With no deadline every reply is aggregated, so both counts equal the
+// uploads.
+func TestEncodeOnce(t *testing.T) {
+	cfg := simConfig(t, 64, 4)
+	cfg.RoundDeadline = 0
+	inner, err := compress.ParseName("top6+quantize8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := &countingCodec{UpdateCodec: inner}
+	cfg.Compressor = codec
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploads := int64(res.History[len(res.History)-1].CumUploads)
+	if uploads == 0 {
+		t.Fatal("no uploads: the run cannot count codec calls")
+	}
+	if got := codec.encodes.Load(); got != uploads {
+		t.Fatalf("EncodeInto calls = %d, want one per upload (%d)", got, uploads)
+	}
+	if got := codec.decodes.Load(); got != uploads {
+		t.Fatalf("DecodeInto calls = %d, want one per upload (%d)", got, uploads)
 	}
 }
 
