@@ -4,7 +4,8 @@
 # Runs `go test -bench` over the compute-substrate packages, writes the
 # results to benchmarks/latest.txt, and — when a committed
 # benchmarks/baseline.txt exists — fails if any benchmark's ns/op regressed
-# by more than BENCH_MAX_REGRESSION_PCT percent (default 10).
+# by more than BENCH_MAX_REGRESSION_PCT percent (default 10), or if a
+# benchmark the baseline records at 0 allocs/op now allocates.
 #
 # Usage:
 #   scripts/bench.sh                         # run + compare against baseline
@@ -13,9 +14,11 @@
 #   scripts/bench-update.sh                  # promote latest.txt to baseline.txt
 #
 # Notes:
-# - Comparison is name-by-name on ns/op; benchmarks present in only one of
-#   the two files are reported but never fail the gate (so adding or
-#   removing a benchmark does not require touching the baseline first).
+# - Comparison is name-by-name on ns/op and allocs/op; the allocs/op gate is
+#   exact and applies only where the baseline is 0. Benchmarks present in
+#   only one of the two files are reported but never fail the gate (so
+#   adding or removing a benchmark does not require touching the baseline
+#   first).
 # - Benchmark numbers are only comparable on similar hardware. CI runners
 #   are noisy; keep the threshold loose there and tighten it locally.
 
@@ -48,21 +51,30 @@ if [[ ! -f "$BASE" ]]; then
     exit 0
 fi
 
-echo "comparing against $BASE (fail above ${MAX_PCT}% ns/op regression)"
+echo "comparing against $BASE (fail above ${MAX_PCT}% ns/op regression, or allocs/op above a baseline of 0)"
 awk -v max="$MAX_PCT" '
     # Benchmark lines look like:
     #   BenchmarkName/case-8   123   45678 ns/op   90 B/op   1 allocs/op
-    # $1 is the name (GOMAXPROCS suffix included), and "ns/op" follows its value.
-    function nsop(line,    n, f, i) {
+    # $1 is the name (GOMAXPROCS suffix included), and each unit follows
+    # its value; a missing unit reads as -1.
+    function field(line, unit,    n, f, i) {
         n = split(line, f)
-        for (i = 2; i <= n; i++) if (f[i] == "ns/op") return f[i-1] + 0
+        for (i = 2; i <= n; i++) if (f[i] == unit) return f[i-1] + 0
         return -1
     }
-    NR == FNR { if (/^Benchmark/) base[$1] = nsop($0); next }
+    NR == FNR {
+        if (/^Benchmark/) { base[$1] = field($0, "ns/op"); baseAllocs[$1] = field($0, "allocs/op") }
+        next
+    }
     /^Benchmark/ {
-        cur = nsop($0)
+        cur = field($0, "ns/op")
         if (!($1 in base)) { printf "  new       %-55s %12.0f ns/op\n", $1, cur; next }
         old = base[$1]; seen[$1] = 1
+        allocs = field($0, "allocs/op")
+        if (baseAllocs[$1] == 0 && allocs > 0) {
+            printf "  FAIL      %-55s %12d -> %12d allocs/op\n", $1, 0, allocs
+            failed++
+        }
         if (old <= 0 || cur < 0) next
         pct = 100 * (cur - old) / old
         mark = "ok"
@@ -72,7 +84,7 @@ awk -v max="$MAX_PCT" '
     END {
         for (b in base) if (!(b in seen)) printf "  removed   %s\n", b
         if (failed) {
-            printf "\n%d benchmark(s) regressed more than %s%%\n", failed, max
+            printf "\n%d benchmark check(s) failed: ns/op above %s%% or allocs/op above a baseline of 0\n", failed, max
             exit 1
         }
         print "\nall benchmarks within threshold"
