@@ -275,8 +275,9 @@ func TestClusterEarlyStop(t *testing.T) {
 }
 
 // TestClusterMatchesSimulation verifies the TCP path and the in-process
-// simulation compute identical models under vanilla FL (same seeds, same
-// aggregation, no filtering).
+// engine compute bit-identical models under vanilla FL: same seeds, and the
+// same exact FedAvg sum. sim's TestFLParity extends this to a matrix of
+// gates, codecs, error feedback and shard layouts.
 func TestClusterMatchesSimulation(t *testing.T) {
 	ccfg := clusterConfig(t, 4, 6, nil)
 	cres, err := RunCluster(ccfg)
@@ -300,7 +301,7 @@ func TestClusterMatchesSimulation(t *testing.T) {
 		t.Fatal("dimension mismatch")
 	}
 	for i := range sres.FinalParams {
-		if math.Abs(cres.Server.FinalParams[i]-sres.FinalParams[i]) > 1e-12 {
+		if math.Float64bits(cres.Server.FinalParams[i]) != math.Float64bits(sres.FinalParams[i]) {
 			t.Fatalf("param %d: cluster %v vs simulation %v", i, cres.Server.FinalParams[i], sres.FinalParams[i])
 		}
 	}

@@ -491,7 +491,18 @@ func (s *Server) Run() (res *ServerResult, err error) {
 			res, err = nil, cerr
 		}
 	}()
-	s.wg.Add(1)
+	// Register the accept loop under mu: a concurrent Close either sees the
+	// slot before its Wait or marks the server closed first, never an Add
+	// racing its Wait.
+	s.mu.Lock()
+	closed := s.closed
+	if !closed {
+		s.wg.Add(1)
+	}
+	s.mu.Unlock()
+	if closed {
+		return nil, errors.New("emu: server closed")
+	}
 	go s.acceptLoop()
 	for _, a := range s.shards {
 		go a.run()
@@ -561,23 +572,11 @@ func (s *Server) Run() (res *ServerResult, err error) {
 				Faults:         out.faults,
 				Accuracy:       math.NaN(),
 			},
-			MeanRelevance:        math.NaN(),
+			MeanRelevance:        out.meanRelevance,
 			CumUplinkWireBytes:   res.UplinkWireBytes,
 			CumDownlinkWireBytes: res.DownlinkWireBytes,
 			Stragglers:           out.stragglers,
 			LateFrames:           out.late,
-		}
-		if n := len(out.updates) + len(out.skips); n > 0 {
-			var msum float64
-			//cmfl:order-pinned diagnostic mean over the gather's canonical reply order; never compared across engines
-			for _, u := range out.updates {
-				msum += u.metric
-			}
-			//cmfl:order-pinned diagnostic mean over the gather's canonical reply order; never compared across engines
-			for _, sk := range out.skips {
-				msum += sk.metric
-			}
-			stats.MeanRelevance = msum / float64(n)
 		}
 		if t%s.cfg.EvalEvery == 0 || t == s.cfg.Rounds {
 			if err := global.SetParamVector(params); err != nil {

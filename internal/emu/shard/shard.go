@@ -178,7 +178,11 @@ func (a *Accumulator) fold(xs []float64, counts []uint8) {
 			p1[j] = hi
 			n[j] = 1 + uint8(nz)
 		default:
-			a.add1(j, x)
+			// The expansion already holds a nonzero term, so a ±0 input
+			// changes neither the exact sum nor Round's bits: skip it.
+			if nonzero(x) {
+				a.add1(j, x)
+			}
 		}
 	}
 }

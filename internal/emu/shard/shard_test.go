@@ -365,6 +365,54 @@ func TestSignedZero(t *testing.T) {
 	}
 }
 
+// TestZeroInputsOnWideCoordinates adds ±0 vectors between the updates of
+// multi-term and spilled coordinates, through Add and through Merge, and
+// checks Round's bits against the big.Float reference of the same inputs.
+func TestZeroInputsOnWideCoordinates(t *testing.T) {
+	const dim = 41
+	negZero := math.Copysign(0, -1)
+	zeros := make([]float64, dim)
+	negZeros := make([]float64, dim)
+	mixed := make([]float64, dim)
+	for j := range dim {
+		negZeros[j] = negZero
+		if j%3 == 0 {
+			mixed[j] = negZero
+		}
+	}
+	for name, vecs := range map[string][][]float64{
+		"multi-term": testVectors(24, dim, 12),
+		"spilled":    spillVectors(24, dim, 13),
+	} {
+		var all [][]float64
+		flat, parts := New(dim), []*Accumulator{New(dim), New(dim)}
+		for i, v := range vecs {
+			for _, in := range [][]float64{v, zeros, negZeros, mixed} {
+				all = append(all, in)
+				flat.Add(in)
+				parts[i%2].Add(in)
+			}
+		}
+		if name == "spilled" && flat.MaxTerms() <= inlineTerms {
+			t.Fatalf("MaxTerms = %d, want > %d: the inputs should spill", flat.MaxTerms(), inlineTerms)
+		}
+		if name == "multi-term" && flat.MaxTerms() < 2 {
+			t.Fatalf("MaxTerms = %d, want >= 2: the inputs should need several terms", flat.MaxTerms())
+		}
+		assertMatchesReference(t, name+" Add", flat.Round(nil), all)
+		// A part that folded only zeros holds a ±0 term per coordinate.
+		zeroPart := New(dim)
+		zeroPart.Add(negZeros)
+		zeroPart.Add(mixed)
+		root := New(dim)
+		root.Merge(parts[0])
+		root.Merge(zeroPart)
+		root.Merge(parts[1])
+		root.Merge(zeroPart)
+		assertMatchesReference(t, name+" Merge", root.Round(nil), all)
+	}
+}
+
 // TestSteadyStateAllocatesNothing pins the reuse contract: after one
 // warm-up round, a full Reset → Add → Merge → Round cycle through two
 // shard accumulators and a root allocates nothing, both for two-term

@@ -3,6 +3,7 @@ package emu
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"cmfl/internal/telemetry"
@@ -14,6 +15,9 @@ import (
 type roundOutcome struct {
 	updates []replyMeta // accepted updates, ascending global client id
 	skips   []replyMeta // accepted skips, ascending global client id
+	// meanRelevance is the mean reported metric over updates and skips
+	// (NaN when none replied).
+	meanRelevance float64
 	// globalUpdate is the correctly rounded exact sum of every accepted
 	// delta. Exactness makes it independent of the shard layout — the
 	// determinism contract (see internal/emu/shard).
@@ -144,15 +148,23 @@ func (s *Server) runRound(t int, params []float64, res *ServerResult) (*roundOut
 			s.metaHas[m.client] = true
 		}
 	}
+	var metricSum float64
+	//cmfl:order-pinned the relevance mean folds in ascending client id, whatever the shard layout
 	for id := 0; id < s.cfg.Clients; id++ {
 		if !s.metaHas[id] {
 			continue
 		}
-		if m := s.metaScratch[id]; m.skip {
+		m := s.metaScratch[id]
+		metricSum += m.metric
+		if m.skip {
 			out.skips = append(out.skips, m)
 		} else {
 			out.updates = append(out.updates, m)
 		}
+	}
+	out.meanRelevance = math.NaN()
+	if n := len(out.updates) + len(out.skips); n > 0 {
+		out.meanRelevance = metricSum / float64(n)
 	}
 	return out, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"cmfl/internal/compress"
+	"cmfl/internal/core"
 	"cmfl/internal/dataset"
 	"cmfl/internal/nn"
 	"cmfl/internal/telemetry"
@@ -105,4 +107,60 @@ func BenchmarkInstrumentedLocalRound(b *testing.B) {
 			})
 		}
 	})
+}
+
+// BenchmarkFoldRound measures Fold.Round as the engines call it, every
+// client uploading: sim-pop's shape (100k uploads of a 68-parameter model
+// through top16+quantize8, a 100k-way fan-in into few coordinates) and
+// fl-cnn's (20 raw uploads of the MNIST CNN perfbench trains). The uploads
+// split into GOMAXPROCS blocks, so run it with -cpu 1,2 to see the split.
+func BenchmarkFoldRound(b *testing.B) {
+	codec, err := compress.ParseName("top16+quantize8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cnn := nn.CNNConfig{ImageSize: 28, Kernel: 5, Conv1: 8, Conv2: 16, Hidden: 64, Classes: 10}
+	for _, bc := range []struct {
+		name         string
+		clients, dim int
+		codec        UpdateCodec
+	}{
+		{"sim-pop", 100_000, 16*4 + 4, codec},
+		{"fl-cnn", 20, len(nn.NewCNN(cnn, xrand.New(1)).ParamVector()), nil},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := xrand.New(2)
+			states := make([]ClientState, bc.clients)
+			clients := make([]int, bc.clients)
+			delta := make([]float64, bc.dim)
+			for c := range states {
+				clients[c] = c
+				s := &states[c]
+				s.Decision = core.Decision{Upload: true}
+				for j := range delta {
+					delta[j] = 0.01 * rng.Norm()
+				}
+				if bc.codec == nil {
+					s.Delta = append([]float64(nil), delta...)
+					continue
+				}
+				if s.Payload, err = bc.codec.EncodeInto(nil, delta); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fold := Fold{Dim: bc.dim, Codec: bc.codec}
+			skips := make([]int, bc.clients)
+			round := func() {
+				if _, err := fold.Round(states, clients, nil, skips); err != nil {
+					b.Fatal(err)
+				}
+			}
+			round() // warm the blocks' accumulators and decode scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
+	}
 }

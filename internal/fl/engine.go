@@ -133,7 +133,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		globalUpdate, uploaded := round.Update, round.Uploaded
 		var sigSum float64
-		//cmfl:order-pinned ascending-client mean, the same order as the fold
+		//cmfl:order-pinned ascending-client mean, the order of the fold's loss and relevance means
 		for _, i := range participants {
 			sigSum += significance[i]
 		}

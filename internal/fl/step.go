@@ -3,9 +3,12 @@ package fl
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"cmfl/internal/core"
 	"cmfl/internal/dataset"
+	"cmfl/internal/emu/shard"
 	"cmfl/internal/nn"
 	"cmfl/internal/tensor"
 	"cmfl/internal/xrand"
@@ -129,7 +132,13 @@ func (cs *ClientStep) Run(s *ClientState, net *nn.Network, data *dataset.Set, rn
 
 // Fold is the server half of an in-process round, shared by fl.Run and
 // sim.Run: skip accounting, decoding each upload's payload, the weighted
-// FedAvg sum and its mean, plus the round's mean loss and relevance.
+// FedAvg mean, plus the round's mean loss and relevance.
+//
+// The FedAvg sum is the one emu's aggregation tree computes: every weighted
+// upload w·δ, rounded once, goes into a shard.Accumulator, and the exact
+// sum is rounded once and scaled by 1/Σw. An exact sum does not depend on
+// how its inputs are grouped or ordered, so fl, sim and emu (flat or
+// sharded) produce the same bits; TestFLParity checks the matrix.
 type Fold struct {
 	// Dim is the parameter dimension.
 	Dim int
@@ -139,7 +148,16 @@ type Fold struct {
 	// upload 1.
 	Weights []float64
 
-	decoded []float64 // decode scratch: Axpy consumes it before the next client
+	uploads []int       // the round's admitted uploaders, ascending
+	blocks  []foldBlock // one per summing goroutine, reused across rounds
+}
+
+// foldBlock sums one contiguous run of a round's uploads.
+type foldBlock struct {
+	acc     *shard.Accumulator
+	decoded []float64 // decode scratch: Add consumes it before the next client
+	scaled  []float64 // w·δ scratch for weighted folds
+	err     error
 }
 
 // FoldResult is one folded round.
@@ -156,18 +174,18 @@ type FoldResult struct {
 	TrainLoss, MeanRelevance float64
 }
 
-// Round folds the states of clients, which must be in ascending order: the
-// ascending plain sum is the one summation the in-process engines share.
-// admitted reports whether a client's reply counts (nil admits all): every
-// listed client's loss and relevance enter the means, but only admitted
-// ones are charged, counted and aggregated. skips[c] is incremented for
-// every admitted client c that withheld its update.
+// Round folds the states of clients, listed in ascending order. admitted
+// reports whether a client's reply counts (nil admits all): every listed
+// client's loss and relevance enter the means, but only admitted ones are
+// charged, counted and aggregated. skips[c] is incremented for every
+// admitted client c that withheld its update. A decode error names the
+// lowest failing client.
 func (f *Fold) Round(states []ClientState, clients []int, admitted func(c int) bool, skips []int) (FoldResult, error) {
 	res := FoldResult{TrainLoss: math.NaN(), MeanRelevance: math.NaN()}
-	update := make([]float64, f.Dim)
 	var lossSum, relSum, weightSum float64
 	relCount := 0
-	//cmfl:order-pinned the ascending-client FedAvg fold is the one summation fl.Run and sim.Run share; their bit parity rests on it
+	f.uploads = f.uploads[:0]
+	//cmfl:order-pinned the loss and relevance means and the weight total fold in ascending client order; TestFLParity pins their bits across fl and sim
 	for _, c := range clients {
 		s := &states[c]
 		lossSum += s.Loss
@@ -184,21 +202,12 @@ func (f *Fold) Round(states []ClientState, clients []int, admitted func(c int) b
 			res.Skipped++
 			continue
 		}
-		delta := s.Delta
-		if f.Codec != nil {
-			var err error
-			if f.decoded, err = f.Codec.DecodeInto(f.decoded, s.Payload, f.Dim); err != nil {
-				return FoldResult{}, fmt.Errorf("client %d decode: %w", c, err)
-			}
-			delta = f.decoded
-		}
-		weight := 1.0
+		f.uploads = append(f.uploads, c)
 		if f.Weights != nil {
-			weight = f.Weights[c]
+			weightSum += f.Weights[c]
+		} else {
+			weightSum++
 		}
-		tensor.Axpy(weight, delta, update)
-		weightSum += weight
-		res.Uploaded++
 	}
 	if len(clients) > 0 {
 		res.TrainLoss = lossSum / float64(len(clients))
@@ -206,11 +215,73 @@ func (f *Fold) Round(states []ClientState, clients []int, admitted func(c int) b
 	if relCount > 0 {
 		res.MeanRelevance = relSum / float64(relCount)
 	}
-	if res.Uploaded > 0 {
-		tensor.ScaleVec(1/weightSum, update)
-		res.Update = update
+	res.Uploaded = len(f.uploads)
+	if res.Uploaded == 0 {
+		return res, nil
 	}
+	sum, err := f.sum(states)
+	if err != nil {
+		return FoldResult{}, err
+	}
+	res.Update = sum.Round(nil)
+	tensor.ScaleVec(1/weightSum, res.Update)
 	return res, nil
+}
+
+// sum adds the round's uploads into one exact sum. The uploads split into
+// min(GOMAXPROCS, uploads) contiguous blocks, each summed by its own
+// goroutine into its own accumulator; the blocks then merge in block
+// order. The sum is exact, so the split leaves no trace in its bits
+// (TestFoldBlockInvariance). Each block stops at its first decode error
+// and the blocks ascend, so the first error found is the lowest client's.
+func (f *Fold) sum(states []ClientState) (*shard.Accumulator, error) {
+	ranges := shard.Split(len(f.uploads), min(runtime.GOMAXPROCS(0), len(f.uploads)))
+	for len(f.blocks) < len(ranges) {
+		f.blocks = append(f.blocks, foldBlock{acc: shard.New(0)})
+	}
+	blocks := f.blocks[:len(ranges)]
+	var wg sync.WaitGroup
+	for i, r := range ranges {
+		wg.Add(1)
+		go func(b *foldBlock, clients []int) {
+			defer wg.Done()
+			b.err = f.sumBlock(b, states, clients)
+		}(&blocks[i], f.uploads[r.Lo:r.Hi])
+	}
+	wg.Wait()
+	for _, b := range blocks {
+		if b.err != nil {
+			return nil, b.err
+		}
+	}
+	root := blocks[0].acc
+	for _, b := range blocks[1:] {
+		root.Merge(b.acc)
+	}
+	return root, nil
+}
+
+// sumBlock resets b's accumulator and adds the uploads of clients to it,
+// each weighted update rounded once before it is added.
+func (f *Fold) sumBlock(b *foldBlock, states []ClientState, clients []int) error {
+	b.acc.Reset(f.Dim)
+	for _, c := range clients {
+		delta := states[c].Delta
+		if f.Codec != nil {
+			var err error
+			if b.decoded, err = f.Codec.DecodeInto(b.decoded, states[c].Payload, f.Dim); err != nil {
+				return fmt.Errorf("client %d decode: %w", c, err)
+			}
+			delta = b.decoded
+		}
+		if f.Weights != nil {
+			b.scaled = append(b.scaled[:0], delta...)
+			tensor.ScaleVec(f.Weights[c], b.scaled)
+			delta = b.scaled
+		}
+		b.acc.Add(delta)
+	}
+	return nil
 }
 
 // LocalTrain runs E epochs of minibatch SGD on data starting from the

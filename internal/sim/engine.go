@@ -208,8 +208,8 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("sim: round %d: only %d replies possible (minimum %d)", t, accepted, cfg.MinQuorum)
 		}
 
-		// Aggregate the accepted uploads in ascending client order — the
-		// fold fl.Run uses, regardless of arrival order or shard count.
+		// Aggregate the accepted uploads through fl.Run's exact fold, so
+		// neither arrival order nor shard count reaches the bits.
 		// Stragglers' loss and relevance still enter the round means.
 		round, err := fold.Round(states, trained, q.Replied, res.SkipCounts)
 		if err != nil {

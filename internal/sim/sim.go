@@ -8,17 +8,19 @@
 // The engine reuses the repository's single sources of truth rather than
 // re-implementing them: every simulated client runs fl.ClientStep (local
 // solver, CMFL gate, encode), the driver aggregates through fl.Fold (the
-// same ascending-client FedAvg fold as fl.Run, decoding the payload the step
-// encoded), and straggler/duplicate/late semantics are the exported
-// emu.Quorum state machine — so the simulation cannot drift from the
-// engines it models. With zero latency, full availability and no deadline,
-// Run is bit-identical to fl.Run (asserted by TestFLParity).
+// exact FedAvg sum fl.Run and emu's aggregation tree use, decoding the
+// payload the step encoded), and straggler/duplicate/late semantics are the
+// exported emu.Quorum state machine — so the simulation cannot drift from
+// the engines it models. With zero latency, full availability and no
+// deadline, Run is bit-identical to fl.Run and to emu (asserted by
+// TestFLParity).
 //
 // Everything is a pure function of Config (including the seed): reruns and
 // different shard counts produce bit-identical final parameters, round
-// histories and registry histograms. Shard workers perform only per-client
-// computation on per-client streams; all event scheduling and float
-// aggregation happen on the driving goroutine in ascending client order.
+// histories and registry histograms (TestDeterminism). Shard workers perform
+// only per-client computation on per-client streams; all event scheduling
+// happens on the driving goroutine, and the FedAvg sum is exact, so neither
+// arrival order nor the worker split reaches the bits.
 package sim
 
 import (

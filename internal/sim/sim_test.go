@@ -10,6 +10,7 @@ import (
 
 	"cmfl/internal/compress"
 	"cmfl/internal/core"
+	"cmfl/internal/emu"
 	"cmfl/internal/fl"
 	"cmfl/internal/gaia"
 	"cmfl/internal/telemetry"
@@ -110,13 +111,19 @@ func TestDeterministicEventOrder(t *testing.T) {
 	}
 }
 
-// TestFLParity is the cross-engine anchor: with zero latency, full
-// availability, no deadline and compat streams, the simulation must
-// reproduce fl.Run bit for bit — final parameters, upload counts, byte
-// accounting and the per-round loss and relevance means — raw and through a
-// lossy codec, for every gate branch: vanilla (no sign checker), CMFL (the
-// sign fast path), CMFL with cosine relevance (the sign checker declines)
-// and Gaia. Each engine gets its own filter instance.
+// TestFLParity is the cross-engine anchor. With zero latency, full
+// availability, no deadline and compat streams, every engine must produce
+// the same bits, because every engine averages through the same exact sum:
+// the final parameters, the per-round Uploaded, Skipped, CumUploads and
+// CumUplinkBytes, and the per-client skip counts. The columns are fl.Run
+// (the reference), sim.Run, and emu.RunCluster over loopback TCP with a
+// flat server and with 3- and 8-shard aggregation trees. The rows cover
+// every gate branch: vanilla (no sign checker), CMFL (the sign fast path in
+// fl and sim, the float check in emu), CMFL with cosine relevance (the sign
+// checker declines) and Gaia; raw uploads, quantize8 and top6+quantize8;
+// and EF-SGD error feedback on the two codecs (fl and emu only: sim has no
+// error feedback). fl and sim must also agree on the per-round loss and
+// relevance means. Each engine run gets its own filter instance.
 func TestFLParity(t *testing.T) {
 	// gates marks the cases whose threshold withholds some updates, so the
 	// fold's skip path is covered; cmfl at 0.4 is the original parity case.
@@ -135,9 +142,19 @@ func TestFLParity(t *testing.T) {
 		}},
 		{"gaia", true, func() fl.UploadFilter { return gaia.NewFilter(core.Constant(0.05)) }},
 	}
-	for _, codecName := range []string{"none", "top6+quantize8"} {
-		t.Run(codecName, func(t *testing.T) {
-			codec, err := compress.ParseName(codecName)
+	codecs := []struct {
+		name, codec string
+		ef          bool
+	}{
+		{"none", "none", false},
+		{"quantize8", "quantize8", false},
+		{"top6+quantize8", "top6+quantize8", false},
+		{"ef-quantize8", "quantize8", true},
+		{"ef-top6+quantize8", "top6+quantize8", true},
+	}
+	for _, cc := range codecs {
+		t.Run(cc.name, func(t *testing.T) {
+			codec, err := compress.ParseName(cc.codec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,70 +164,85 @@ func TestFLParity(t *testing.T) {
 					if werr != nil {
 						t.Fatal(werr)
 					}
-
+					const rounds = 5
 					flCfg := fl.Config{
-						Model:      wl.Model,
-						ClientData: wl.Shards,
-						Epochs:     2,
-						Batch:      4,
-						LR:         core.Constant(0.12),
-						Filter:     filter.new(),
-						Rounds:     5,
-						Seed:       4242,
-					}
-					simCfg := Config{
 						Model:         wl.Model,
 						ClientData:    wl.Shards,
 						Epochs:        2,
 						Batch:         4,
 						LR:            core.Constant(0.12),
 						Filter:        filter.new(),
-						Rounds:        5,
+						Rounds:        rounds,
 						Seed:          4242,
-						Shards:        3,
-						CompatStreams: true,
+						ErrorFeedback: cc.ef,
 					}
 					if codec != nil {
 						flCfg.Compressor = codec
-						simCfg.Compressor = codec
 					}
-
 					flRes, err := fl.Run(flCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					simRes, err := Run(simCfg)
-					if err != nil {
-						t.Fatal(err)
+					want := engineRun{"fl", flRes.FinalParams, roundEvents(flRes.History, func(h fl.RoundStats) telemetry.RoundEvent { return h.RoundEvent }), flRes.SkipCounts}
+
+					if !cc.ef {
+						simCfg := Config{
+							Model:         wl.Model,
+							ClientData:    wl.Shards,
+							Epochs:        2,
+							Batch:         4,
+							LR:            core.Constant(0.12),
+							Filter:        filter.new(),
+							Rounds:        rounds,
+							Seed:          4242,
+							Shards:        3,
+							CompatStreams: true,
+						}
+						if codec != nil {
+							simCfg.Compressor = codec
+						}
+						simRes, err := Run(simCfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameRun(t, want, engineRun{"sim", simRes.FinalParams, roundEvents(simRes.History, func(h RoundStats) telemetry.RoundEvent { return h.RoundEvent }), simRes.SkipCounts})
+						for r := range flRes.History {
+							fh, sh := flRes.History[r], simRes.History[r]
+							if !sameBits(fh.TrainLoss, sh.TrainLoss) {
+								t.Fatalf("round %d TrainLoss: fl %v != sim %v", r+1, fh.TrainLoss, sh.TrainLoss)
+							}
+							if !sameBits(fh.MeanRelevance, sh.MeanRelevance) {
+								t.Fatalf("round %d MeanRelevance: fl %v != sim %v", r+1, fh.MeanRelevance, sh.MeanRelevance)
+							}
+						}
 					}
 
-					if len(flRes.FinalParams) != len(simRes.FinalParams) {
-						t.Fatalf("param dims differ: fl %d, sim %d", len(flRes.FinalParams), len(simRes.FinalParams))
+					for _, shards := range []int{0, 3, 8} {
+						emuCfg := emu.ClusterConfig{
+							Model:         wl.Model,
+							ClientData:    wl.Shards,
+							Epochs:        2,
+							Batch:         4,
+							LR:            core.Constant(0.12),
+							Filter:        filter.new(),
+							Rounds:        rounds,
+							Seed:          4242,
+							ErrorFeedback: cc.ef,
+							Topology:      emu.Topology{Shards: shards},
+						}
+						if codec != nil {
+							emuCfg.Compressor = codec
+						}
+						emuRes, err := emu.RunCluster(emuCfg)
+						if err != nil {
+							t.Fatalf("emu shards=%d: %v", shards, err)
+						}
+						name := fmt.Sprintf("emu shards=%d", shards)
+						sameRun(t, want, engineRun{name, emuRes.Server.FinalParams, roundEvents(emuRes.Server.History, func(h emu.RoundStats) telemetry.RoundEvent { return h.RoundEvent }), emuRes.Server.SkipCounts})
 					}
-					for j := range flRes.FinalParams {
-						if flRes.FinalParams[j] != simRes.FinalParams[j] {
-							t.Fatalf("param %d: fl %v != sim %v (bit parity broken)", j, flRes.FinalParams[j], simRes.FinalParams[j])
-						}
-					}
-					for r := range flRes.History {
-						fe, se := flRes.History[r].RoundEvent, simRes.History[r].RoundEvent
-						if fe.Uploaded != se.Uploaded || fe.Skipped != se.Skipped ||
-							fe.CumUploads != se.CumUploads || fe.CumUplinkBytes != se.CumUplinkBytes {
-							t.Fatalf("round %d accounting diverged:\n  fl:  %+v\n  sim: %+v", r+1, fe, se)
-						}
-						fh, sh := flRes.History[r], simRes.History[r]
-						if !sameBits(fh.TrainLoss, sh.TrainLoss) {
-							t.Fatalf("round %d TrainLoss: fl %v != sim %v", r+1, fh.TrainLoss, sh.TrainLoss)
-						}
-						if !sameBits(fh.MeanRelevance, sh.MeanRelevance) {
-							t.Fatalf("round %d MeanRelevance: fl %v != sim %v", r+1, fh.MeanRelevance, sh.MeanRelevance)
-						}
-					}
+
 					skips := 0
-					for c, n := range flRes.SkipCounts {
-						if simRes.SkipCounts[c] != n {
-							t.Fatalf("client %d skips: fl %d, sim %d", c, n, simRes.SkipCounts[c])
-						}
+					for _, n := range flRes.SkipCounts {
 						skips += n
 					}
 					if filter.gates && skips == 0 {
@@ -219,6 +251,57 @@ func TestFLParity(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// engineRun is the part of one engine's result that TestFLParity compares.
+type engineRun struct {
+	engine string
+	params []float64
+	rounds []telemetry.RoundEvent
+	skips  []int
+}
+
+// roundEvents extracts the RoundEvent of each of an engine's per-round
+// stats.
+func roundEvents[S any](history []S, event func(S) telemetry.RoundEvent) []telemetry.RoundEvent {
+	out := make([]telemetry.RoundEvent, len(history))
+	for i, h := range history {
+		out[i] = event(h)
+	}
+	return out
+}
+
+// sameRun fails t unless got matches want bit for bit: final parameters,
+// per-round upload accounting and per-client skip counts.
+func sameRun(t *testing.T, want, got engineRun) {
+	t.Helper()
+	if len(got.params) != len(want.params) {
+		t.Fatalf("param dims differ: %s %d, %s %d", want.engine, len(want.params), got.engine, len(got.params))
+	}
+	differ := 0
+	for j := range want.params {
+		if math.Float64bits(want.params[j]) != math.Float64bits(got.params[j]) {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d final params differ in bits between %s and %s", differ, len(want.params), want.engine, got.engine)
+	}
+	if len(got.rounds) != len(want.rounds) {
+		t.Fatalf("%s ran %d rounds, %s %d", got.engine, len(got.rounds), want.engine, len(want.rounds))
+	}
+	for r, we := range want.rounds {
+		ge := got.rounds[r]
+		if we.Uploaded != ge.Uploaded || we.Skipped != ge.Skipped ||
+			we.CumUploads != ge.CumUploads || we.CumUplinkBytes != ge.CumUplinkBytes {
+			t.Fatalf("round %d accounting diverged:\n  %s: %+v\n  %s: %+v", r+1, want.engine, we, got.engine, ge)
+		}
+	}
+	for c, n := range want.skips {
+		if got.skips[c] != n {
+			t.Fatalf("client %d skips: %s %d, %s %d", c, want.engine, n, got.engine, got.skips[c])
+		}
 	}
 }
 
